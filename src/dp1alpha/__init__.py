@@ -30,7 +30,6 @@ from .cone import (
     is_ample,
     is_pseudoeffective,
     membership_certificate,
-    minimal_face,
     mu_threshold,
 )
 from .lemmas import (
@@ -107,7 +106,6 @@ __all__ = [
     "lc_two_smooth_branches",
     "lct_plane_singularity",
     "membership_certificate",
-    "minimal_face",
     "mu_threshold",
     "pairing",
     "parse_class",

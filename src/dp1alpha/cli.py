@@ -6,9 +6,13 @@ Every invocation prints a single deterministic JSON report::
 
 with keys sorted and every rational rendered exactly as ``p/q`` in lowest
 terms (``--decimal k`` adds a k-digit decimal rendering alongside, never
-replacing the exact value).  Exit codes: 0 on success, 1 on a verification
-failure (a lemma case that turns out feasible, or a relaxation probe that
-fails; the witness is printed), 2 on malformed input.
+replacing the exact value).  Input numerators and denominators have at most
+``rationals.MAX_DIGITS`` digits, and k is at most that number.  Exit codes:
+0 on success, 1 on a verification failure (a lemma case that turns out
+feasible, or a relaxation probe that fails; the witness is printed), 2 on
+malformed input, 3 on an internal failure (a classification or certificate
+check that does not hold up); on 1, 2 and 3 stdout stays empty and stderr
+gets one line.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .alpha import (
     cylinder_range_contains,
     kstable_range_contains,
 )
-from .cone import PolarizationProfile, classify, is_ample
+from .cone import PolarizationProfile, UnclassifiableError, classify, is_ample
 from .lemmas import LEMMA_IDS, LemmaProbeError, relaxation_probe, verify_lemma
 from .picard import (
     enumerate_conic_classes,
@@ -35,7 +39,7 @@ from .picard import (
     format_class,
     parse_class,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import MAX_DIGITS, format_rational, parse_rational
 from .weierstrass import (
     NotASectionError,
     WeierstrassSurface,
@@ -240,18 +244,21 @@ def _handle_lemma_verify(args, r):
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+def _decimal_digits(text: str) -> int:
+    text = text.strip()
+    if not (
+        text.isascii() and text.isdigit()
+        and len(text) <= len(str(MAX_DIGITS)) and int(text) <= MAX_DIGITS
+    ):
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to {MAX_DIGITS}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--decimal",
-        type=_nonneg_int,
+        type=_decimal_digits,
         metavar="K",
         default=None,
         help="also render each rational as a K-digit decimal",
@@ -418,6 +425,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, NotASectionError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (UnclassifiableError, AssertionError, RuntimeError) as exc:
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report = {"command": args.command_path, "inputs": inputs, "outputs": outputs}
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

@@ -1,11 +1,12 @@
 """Exact cone computations in the Picard lattice of a degree-one del Pezzo surface.
 
 Ampleness and pseudo-effectivity tests, the threshold mu at which K + t*A
-meets the effective-cone boundary, minimal faces of the curve cone, and the
-classification of an ample class into the P2 / F1 / P1xP1 shape with its
-coefficient data (a_i, delta, s_A).  Everything runs in exact rational
+meets the effective-cone boundary, and the classification of an ample class
+into the P2 / F1 / P1xP1 shape with its coefficient data (a_i, delta, s_A)
+and the generators of the boundary face.  Everything runs in exact rational
 arithmetic; every cone-membership answer is certified by a primal solution
-or a Farkas witness.
+or a Farkas witness, and the boundary face by a nef class that vanishes on
+exactly its generators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linprog import INFEASIBLE, OPTIMAL, LPProblem, LPResult, solve
+from .linprog import OPTIMAL, LPProblem, LPResult, solve
 from .picard import (
     PicardClass,
     canonical_class,
@@ -60,25 +61,36 @@ def _curve_rows_int() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(c) for c in curve.coeffs) for curve in members)
 
 
-def _scaled_int_coeffs(v: PicardClass) -> tuple[int, ...]:
-    # Clearing denominators preserves every pairing sign.
-    denom = 1
-    for c in v.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return tuple(int(c * denom) for c in v.coeffs)
+@lru_cache(maxsize=None)
+def _generator_rows() -> tuple[tuple[Fraction, ...], ...]:
+    """The 9x240 matrix whose columns are the (-1)-classes, in enumeration order."""
+    curves = enumerate_minus_one_classes().members
+    return tuple(tuple(curve.coeffs[i] for curve in curves) for i in range(9))
+
+
+def _cleared(v: PicardClass) -> tuple[int, tuple[int, ...]]:
+    """(d, d*v) with d the least common denominator; d*v keeps every pairing sign."""
+    denom = math.lcm(*(c.denominator for c in v.coeffs))
+    return denom, tuple(c.numerator * (denom // c.denominator) for c in v.coeffs)
+
+
+def _pairings(w: tuple[int, ...]):
+    """w.E for the 240 (-1)-classes E in enumeration order, for integral w."""
+    head, tail = w[0], w[1:]
+    return (
+        head * row[0] - sum(a * b for a, b in zip(tail, row[1:]))
+        for row in _curve_rows_int()
+    )
 
 
 def is_ample(v: PicardClass) -> bool:
     """True iff v has positive square and pairs positively with -K and all (-1)-classes."""
-    w = _scaled_int_coeffs(v)
+    w = _cleared(v)[1]
     if w[0] * w[0] - sum(x * x for x in w[1:]) <= 0:
         return False
     if 3 * w[0] + sum(w[1:]) <= 0:  # pairing with -K = (3, -1, ..., -1)
         return False
-    return all(
-        w[0] * row[0] - sum(a * b for a, b in zip(w[1:], row[1:])) > 0
-        for row in _curve_rows_int()
-    )
+    return all(p > 0 for p in _pairings(w))
 
 
 def membership_certificate(v: PicardClass) -> LPResult:
@@ -88,15 +100,13 @@ def membership_certificate(v: PicardClass) -> LPResult:
     infeasible one carries an exact Farkas certificate y with y.E <= 0 for
     every generator and y.v > 0.
     """
-    curves = enumerate_minus_one_classes().members
-    rows = tuple(
-        tuple(curve.coeffs[i] for curve in curves) for i in range(9)
-    )
+    rows = _generator_rows()
+    n = len(rows[0])
     problem = LPProblem(
-        objective=tuple(Fraction(0) for _ in curves),
+        objective=(Fraction(0),) * n,
         rows=rows,
         rhs=tuple(v.coeffs),
-        nonneg=tuple(True for _ in curves),
+        nonneg=(True,) * n,
     )
     return solve(problem)
 
@@ -110,19 +120,14 @@ def mu_threshold(A: PicardClass) -> Fraction:
     """Least t > 0 with K + t*A effective, as a single exact LP over (c, t)."""
     if not is_ample(A):
         raise ValueError("mu_threshold requires an ample class")
-    curves = enumerate_minus_one_classes().members
-    k = canonical_class()
-    n = len(curves)
     # coordinates of: sum(c_E * E) - t*A = K
-    rows = tuple(
-        tuple(curve.coeffs[i] for curve in curves) + (-A.coeffs[i],)
-        for i in range(9)
-    )
+    rows = tuple(row + (-x,) for row, x in zip(_generator_rows(), A.coeffs))
+    n = len(rows[0])
     problem = LPProblem(
-        objective=tuple(Fraction(0) for _ in curves) + (Fraction(1),),
+        objective=(Fraction(0),) * (n - 1) + (Fraction(1),),
         rows=rows,
-        rhs=tuple(k.coeffs),
-        nonneg=tuple(True for _ in range(n + 1)),
+        rhs=tuple(canonical_class().coeffs),
+        nonneg=(True,) * n,
     )
     result = solve(problem)
     if result.status != OPTIMAL:
@@ -135,70 +140,54 @@ def mu_threshold(A: PicardClass) -> Fraction:
     return mu
 
 
-def _face_of(x: PicardClass) -> frozenset[PicardClass]:
-    """Minimal-face generators of a class already known to be effective.
+def _boundary_split(
+    boundary: PicardClass,
+) -> tuple[list[tuple[Fraction, PicardClass]], PicardClass | None, frozenset[PicardClass]]:
+    """Read D = K + mu*A as sum(a_E * E) + delta*C off the lattice, with its face.
 
-    Aggregate scheme: repeatedly maximize the total coefficient mass on the
-    still-undecided generators.  A zero optimum proves every undecided
-    generator is absent from all representations; a positive one exhibits at
-    least one new face member.  Equivalent to maximizing each c_E separately,
-    in far fewer solves (the mass is capped by x.(-K)).
+    Distinct (-1)-classes meet non-negatively and a conic class C is nef, so
+    in D = sum(a_i * E_i) + delta*C with disjoint E_i orthogonal to C,
+    exactly the E_i with a_i > 0 pair negatively with D, each to -a_i.  The
+    scan takes N = {E : D.E < 0} with coefficients -D.E; the residual
+    R = D - sum(-D.E * E) must be 0 or delta*C with delta > 0.
+
+    Returns N with its coefficients (in enumeration order), C or None, and
+    the generators of the minimal face of D:
+
+    - R = 0: the face is N.  L = -K + sum(N), the pull-back of -K from
+      contracting N, is nef and vanishes on D; L.E = 1 + sum(E'.E for E'
+      in N) >= 1 for every generator E outside N.
+    - R = delta*C: the face is {E : E.C = 0}, the 14 components of the
+      seven reducible fibres.  C.D = 0 with C nef keeps every other
+      generator out, and C = p + q on each fibre puts both p and q in.
     """
     curves = enumerate_minus_one_classes().members
-    n = len(curves)
-    rows = tuple(
-        tuple(curve.coeffs[i] for curve in curves) for i in range(9)
-    )
-    rhs = tuple(x.coeffs)
-    nonneg = tuple(True for _ in range(n))
-    undecided = set(range(n))
-    face: set[int] = set()
-    while undecided:
-        objective = tuple(
-            Fraction(-1) if j in undecided else Fraction(0) for j in range(n)
+    rows = _curve_rows_int()
+    denom, w = _cleared(boundary)
+    negative = [(j, -p) for j, p in enumerate(_pairings(w)) if p < 0]
+    residual = list(w)
+    for j, coeff in negative:
+        residual = [r - coeff * x for r, x in zip(residual, rows[j])]
+    split = [(Fraction(coeff, denom), curves[j]) for j, coeff in negative]
+    if not any(residual):
+        return split, None, frozenset(e for _, e in split)
+
+    twice_delta = 3 * residual[0] + sum(residual[1:])  # -R.K = 2*delta*denom
+    if twice_delta <= 0 or any(2 * r % twice_delta for r in residual):
+        raise UnclassifiableError(
+            f"residual of {format_class(boundary)} is not a positive multiple of "
+            "an integral class"
         )
-        result = solve(LPProblem(objective, rows, rhs, nonneg))
-        if result.status != OPTIMAL:
-            raise UnclassifiableError("face LP lost feasibility mid-scan")
-        if result.objective_value == 0:
-            break
-        newly = {j for j in undecided if result.point[j] > 0}
-        if not newly:
-            raise AssertionError("positive aggregate mass with no positive entry")
-        face |= newly
-        undecided -= newly
-    return frozenset(curves[j] for j in face)
-
-
-def minimal_face(x: PicardClass) -> frozenset[PicardClass]:
-    """Generators of the smallest cone face containing x; rejects non-effective x."""
-    if not is_pseudoeffective(x):
-        raise ValueError("minimal_face requires a pseudo-effective class")
-    return _face_of(x)
-
-
-def minimal_face_by_generator(x: PicardClass) -> frozenset[PicardClass]:
-    """Reference implementation: one coefficient-maximizing LP per generator."""
-    if not is_pseudoeffective(x):
-        raise ValueError("minimal_face requires a pseudo-effective class")
-    curves = enumerate_minus_one_classes().members
-    n = len(curves)
-    rows = tuple(
-        tuple(curve.coeffs[i] for curve in curves) for i in range(9)
-    )
-    rhs = tuple(x.coeffs)
-    nonneg = tuple(True for _ in range(n))
-    face = []
-    for j in range(n):
-        objective = tuple(
-            Fraction(-1) if i == j else Fraction(0) for i in range(n)
-        )
-        result = solve(LPProblem(objective, rows, rhs, nonneg))
-        if result.status != OPTIMAL:
-            raise UnclassifiableError("face LP lost feasibility mid-scan")
-        if result.objective_value < 0:
-            face.append(curves[j])
-    return frozenset(face)
+    conic = tuple(2 * r // twice_delta for r in residual)
+    if conic[0] * conic[0] != sum(x * x for x in conic[1:]):
+        raise UnclassifiableError("residual class has nonzero square")
+    against_conic = list(_pairings(conic))
+    if min(against_conic) < 0:
+        raise UnclassifiableError("residual conic class is not nef")
+    if any(against_conic[j] for j, _ in negative):
+        raise UnclassifiableError("negative part is not vertical for the fiber class")
+    face = frozenset(e for e, p in zip(curves, against_conic) if p == 0)
+    return split, PicardClass(conic), face
 
 
 def _extend_to_disjoint_eight(
@@ -321,56 +310,25 @@ def classify(A: PicardClass) -> PolarizationProfile:
         raise ValueError("classify requires an ample class")
     mu = mu_threshold(A)
     boundary = canonical_class() + mu * A
-    face = _face_of(boundary)
-    face_list = sorted(face)
-
-    crossing = None
-    for i, left in enumerate(face_list):
-        for right in face_list[i + 1 :]:
-            p = pairing(left, right)
-            if p == 1 and crossing is None:
-                crossing = (left, right)
-            elif p not in (0, 1):
-                raise UnclassifiableError(
-                    f"face generators pair to {p}; proper faces admit only 0 or 1"
-                )
-
-    if crossing is None:
-        profile = _classify_orthogonal(A, mu, boundary, face, face_list)
+    negative, conic, face = _boundary_split(boundary)
+    if conic is None:
+        profile = _classify_orthogonal(mu, negative, face)
     else:
-        profile = _classify_conic_bundle(A, mu, boundary, face, face_list, crossing)
+        profile = _classify_conic_bundle(mu, boundary, face, conic)
     _validate_profile(profile, A)
     return profile
 
 
 def _classify_orthogonal(
-    A: PicardClass,
     mu: Fraction,
-    boundary: PicardClass,
+    coefficients: list[tuple[Fraction, PicardClass]],
     face: frozenset[PicardClass],
-    face_list: list[PicardClass],
 ) -> PolarizationProfile:
-    coefficients = []
-    recomposed = PicardClass([0] * 9)
-    for e in face_list:
-        coeff = -pairing(boundary, e)
-        if coeff <= 0:
-            raise UnclassifiableError(
-                f"face generator {format_class(e)} carries coefficient {coeff}"
-            )
-        coefficients.append((coeff, e))
-        recomposed = recomposed + coeff * e
-    if recomposed != boundary:
-        raise UnclassifiableError(
-            "orthogonal face does not span the boundary class"
-        )
-
+    face_list = [e for _, e in coefficients]
     extended = _extend_to_disjoint_eight(face_list)
     if extended is not None:
-        for e in extended:
-            if e not in face:
-                coefficients.append((Fraction(0), e))
-        a, basis = _sorted_decomposition(coefficients)
+        padded = coefficients + [(Fraction(0), e) for e in extended if e not in face]
+        a, basis = _sorted_decomposition(padded)
         return PolarizationProfile(
             type_tag=P2,
             mu=mu,
@@ -410,41 +368,17 @@ def _classify_orthogonal(
 
 
 def _classify_conic_bundle(
-    A: PicardClass,
     mu: Fraction,
     boundary: PicardClass,
     face: frozenset[PicardClass],
-    face_list: list[PicardClass],
-    crossing: tuple[PicardClass, PicardClass],
+    conic: PicardClass,
 ) -> PolarizationProfile:
-    conic = crossing[0] + crossing[1]
-    if pairing(boundary, conic) != 0:
-        raise UnclassifiableError("boundary class is not orthogonal to the fiber class")
-    for e in face_list:
-        if pairing(e, conic) != 0:
-            raise UnclassifiableError(
-                f"face generator {format_class(e)} is not vertical for the fiber class"
-            )
-
-    curves = enumerate_minus_one_classes()
-    members = set(curves.members)
-    pairs: list[tuple[PicardClass, PicardClass]] = []
-    for p in curves:
-        if pairing(p, conic) != 0:
-            continue
-        q = conic - p
-        if q in members and p < q:
-            pairs.append((p, q))
-    if len(pairs) != 7:
+    if len(face) != 14:
         raise UnclassifiableError(
-            f"fiber class has {len(pairs)} reducible members, expected 7"
+            f"fiber class has {len(face)} reducible-member components, expected 14"
         )
-    components = {p for pair in pairs for p in pair}
-    for e in face_list:
-        if e not in components:
-            raise UnclassifiableError(
-                f"face generator {format_class(e)} is not a fiber component"
-            )
+    # conic - p is a (-1)-class orthogonal to the conic for every p in the face
+    pairs = [(p, conic - p) for p in sorted(face) if p < conic - p]
 
     chosen: list[tuple[Fraction, PicardClass]] = []
     for p, q in pairs:
@@ -468,9 +402,11 @@ def _classify_conic_bundle(
     if delta < 0 or residual != delta * conic:
         raise UnclassifiableError("residual is not a nonnegative multiple of the fiber class")
 
-    has_section = any(
-        all(pairing(w, e) == 0 for e in selected) for w in curves
-    )
+    # a section is a (-1)-class orthogonal to all seven chosen components
+    orthogonal = [
+        {j for j, p in enumerate(_pairings(_cleared(e)[1])) if p == 0} for e in selected
+    ]
+    has_section = bool(set.intersection(*orthogonal))
     if has_section == _complement_is_even(selected):
         raise UnclassifiableError("section search disagrees with the lattice parity test")
 

@@ -51,9 +51,6 @@ class PicardClass:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "PicardClass") -> Fraction:
-        return pairing(self, other)
-
     @property
     def degree(self) -> Fraction:
         """The H coordinate."""
@@ -61,9 +58,6 @@ class PicardClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     # -- plumbing ---------------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -6,18 +6,28 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"^-?([0-9]+)(?:/([1-9][0-9]*))?$")
+
+# The longest numerator or denominator that parse_rational accepts, in
+# digits.  CPython refuses int <-> text conversions beyond 4300 digits by
+# default, with a message about its own limit; the cap rejects such input
+# first, and leaves room for the larger values computed from it.
+MAX_DIGITS = 1000
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (q > 0) into a Fraction.
 
-    Raises ValueError on anything outside the grammar (whitespace is stripped
-    first so CLI arguments survive shell quoting).
+    Raises ValueError on anything outside the grammar, and on a numerator or
+    denominator longer than MAX_DIGITS digits (whitespace is stripped first
+    so CLI arguments survive shell quoting).
     """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ValueError(f"not a rational in p or p/q form: {text!r}")
+    if any(part and len(part) > MAX_DIGITS for part in match.groups()):
+        raise ValueError(f"numerators and denominators are limited to {MAX_DIGITS} digits")
     return Fraction(text)
 
 

@@ -1,13 +1,19 @@
 """Tests for the JSON command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dp1alpha
+import dp1alpha.cli as cli
 from dp1alpha.cli import build_parser, run
+from dp1alpha.cone import UnclassifiableError
+from dp1alpha.rationals import MAX_DIGITS
 
 F = Fraction
 
@@ -222,6 +228,23 @@ class TestExitCodes:
         assert report is None
         assert "verification failure" in err
 
+    @pytest.mark.parametrize(
+        "failure",
+        [UnclassifiableError("no decomposition"), AssertionError("bad certificate"),
+         RuntimeError("lost feasibility")],
+    )
+    def test_internal_failure_exits_three(self, capsys, monkeypatch, failure):
+        def failing(cls):
+            raise failure
+
+        monkeypatch.setattr(cli, "classify", failing)
+        for command in (["classify"], ["alpha", "conjecture"]):
+            code, report, err = invoke(capsys, command + ["--class", HALF_PENCIL])
+            assert code == 3
+            assert report is None
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert str(failure) in err
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["alpha", "--help"], ["alpha", "theorem", "--help"]):
             code = run(argv)
@@ -298,6 +321,43 @@ class TestDecimalRendering:
         assert isinstance(report["outputs"]["alpha"], str)
 
 
+class TestDigitCaps:
+    """Inputs past MAX_DIGITS end in exit 2 with the program's own message."""
+
+    TABLE = ["alpha", "table", "--degree", "3", "--flags", "eckardt"]
+
+    def test_decimal_at_the_cap(self, capsys):
+        code, report, _ = invoke(capsys, self.TABLE + ["--decimal", str(MAX_DIGITS)])
+        assert code == 0
+        decimal = report["outputs"]["alpha"]["decimal"]
+        assert decimal == "0." + "6" * (MAX_DIGITS - 1) + "7"
+
+    @pytest.mark.parametrize("digits", [str(MAX_DIGITS + 1), "4301", "9" * 5000])
+    def test_decimal_past_the_cap(self, capsys, digits):
+        code, report, err = invoke(capsys, self.TABLE + ["--decimal", digits])
+        assert code == 2 and report is None
+        assert f"must be an integer from 0 to {MAX_DIGITS}" in err
+        assert "limit" not in err
+
+    def test_class_numeral_at_the_cap(self, capsys):
+        big = "3" + "0" * (MAX_DIGITS - 1)
+        for cls in (f"{big},-1,-1,-1,-1,-1,-1,-1,-1", f"3,-1,-1,-1,-1,-1,-1,-1,-1/{big}"):
+            code, report, _ = invoke(capsys, ["ample", "--class", cls])
+            assert code == 0
+            assert report["outputs"] == {"class": cls, "ample": True}
+
+    @pytest.mark.parametrize("length", [MAX_DIGITS + 1, 4400])
+    def test_class_numeral_past_the_cap(self, capsys, length):
+        big = "3" + "0" * (length - 1)
+        for numeral in (big, f"-1/{big}"):
+            cls = f"3,-1,-1,-1,-1,-1,-1,-1,{numeral}"
+            for command in (["ample"], ["classify"]):
+                code, report, err = invoke(capsys, command + ["--class", cls])
+                assert code == 2 and report is None
+                assert f"limited to {MAX_DIGITS} digits" in err
+                assert "Exceeds" not in err
+
+
 class TestParserShape:
     def test_build_parser_is_reusable(self):
         parser = build_parser()
@@ -305,10 +365,15 @@ class TestParserShape:
         assert args.command_path == "curves enumerate"
 
     def test_console_script_runs(self):
+        # the child finds the package where this process found it
+        source = str(Path(dp1alpha.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "dp1alpha.cli", "alpha", "table", "--degree", "9"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["outputs"]["alpha"] == "1/3"

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 import dp1alpha.cone as cone
+import reference_face
 import test_acceptance
 from dp1alpha.alpha import example_polarization
 from dp1alpha.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, solve
@@ -315,9 +316,10 @@ class TestAgainstReferenceSimplex:
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
     def test_criterion_10_problems(self, recorded):
-        """The strict-slack LPs of criterion 10, then the mu, membership and
-        face LPs of the first ample classes its generator draws."""
-        problems = recorded(test_acceptance, cone)
+        """The strict-slack LPs of criterion 10, then the mu and membership
+        LPs of the first ample classes its generator draws and the reference
+        face LPs of their boundary classes."""
+        problems = recorded(test_acceptance, cone, reference_face)
         rng = random.Random(424242)
         for trial in range(200):
             system = test_acceptance._random_system(rng, force_feasible=trial % 2 == 0)
@@ -328,7 +330,10 @@ class TestAgainstReferenceSimplex:
             cone.membership_certificate(k + mu * ample_class)
             cone.membership_certificate(k + (Fraction(999, 1000) * mu) * ample_class)
             cone.classify(ample_class)
-        cone.classify(example_polarization(Fraction(1, 2)))
+            reference_face._face_of(k + mu * ample_class)
+        pencil_class = example_polarization(Fraction(1, 2))
+        cone.classify(pencil_class)
+        reference_face._face_of(k + cone.mu_threshold(pencil_class) * pencil_class)
         assert len(problems) > 200
         statuses = set()
         for problem in problems:
