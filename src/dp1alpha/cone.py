@@ -62,6 +62,11 @@ def _curve_rows_int() -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _conic_rows_int() -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(c) for c in conic.coeffs) for conic in enumerate_conic_classes())
+
+
+@lru_cache(maxsize=None)
 def _generator_rows() -> tuple[tuple[Fraction, ...], ...]:
     """The 9x240 matrix whose columns are the (-1)-classes, in enumeration order."""
     curves = enumerate_minus_one_classes().members
@@ -190,24 +195,37 @@ def _boundary_split(
     return split, PicardClass(conic), face
 
 
+@lru_cache(maxsize=None)
+def _orthogonal_mask(w: tuple[int, ...]) -> int:
+    """Bit j set iff w.E = 0 for the j-th (-1)-class E, for integral w."""
+    return sum(1 << j for j, p in enumerate(_pairings(w)) if p == 0)
+
+
 def _extend_to_disjoint_eight(
     chosen: list[PicardClass],
 ) -> list[PicardClass] | None:
     """Extend pairwise-orthogonal (-1)-classes to 8, lex-smallest, by backtracking."""
     curves = enumerate_minus_one_classes().members
+    rows = _curve_rows_int()
 
-    def rec(current: list[PicardClass], start: int) -> list[PicardClass] | None:
-        if len(current) == 8:
+    def rec(current: list[int], candidates: int, start: int) -> list[int] | None:
+        if len(chosen) + len(current) == 8:
             return current
-        for idx in range(start, len(curves)):
-            candidate = curves[idx]
-            if all(pairing(candidate, c) == 0 for c in current):
-                found = rec(current + [candidate], idx + 1)
-                if found is not None:
-                    return found
+        pending = candidates >> start << start
+        while pending:
+            low = pending & -pending
+            idx = low.bit_length() - 1
+            found = rec(current + [idx], candidates & _orthogonal_mask(rows[idx]), idx + 1)
+            if found is not None:
+                return found
+            pending ^= low
         return None
 
-    return rec(list(chosen), 0)
+    candidates = (1 << len(curves)) - 1
+    for e in chosen:
+        candidates &= _orthogonal_mask(_cleared(e)[1])
+    found = rec([], candidates, 0)
+    return None if found is None else list(chosen) + [curves[j] for j in found]
 
 
 def _integer_kernel_basis(constraints: list[PicardClass]) -> list[tuple[int, ...]]:
@@ -348,8 +366,14 @@ def _classify_orthogonal(
         raise UnclassifiableError(
             "seven-generator face with odd complement should extend to eight"
         )
+    # pairing(c, e) = c . (e0, -e1, ..., -e8) on the integer rows
+    signed = [(w[0],) + tuple(-x for x in w[1:]) for w in (_cleared(e)[1] for e in face_list)]
     conic = next(
-        (c for c in enumerate_conic_classes() if all(pairing(c, e) == 0 for e in face_list)),
+        (
+            c
+            for c, row in zip(enumerate_conic_classes(), _conic_rows_int())
+            if all(sum(a * b for a, b in zip(row, w)) == 0 for w in signed)
+        ),
         None,
     )
     if conic is None:

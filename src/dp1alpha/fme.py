@@ -8,6 +8,7 @@ system yields an exact witness point recovered by back-substitution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -109,11 +110,13 @@ def check_certificate(system: LinearSystem, certificate: FarkasCertificate) -> b
 
 @dataclass
 class _Row:
-    # working inequality: coeffs . x (< | <=) rhs, with provenance
-    coeffs: list[Fraction]
+    # working inequality, scaled by denom > 0: every entry is an int and the
+    # rational row is (coeffs . x (< | <=) rhs) / denom, with provenance
+    coeffs: list[int]
     strict: bool
-    rhs: Fraction
-    history: list[Fraction]  # net signed weight per original constraint
+    rhs: int
+    history: list[int]  # net signed weight per original constraint, times denom
+    denom: int
     ancestors: frozenset[int]
     eliminated: frozenset[int]
 
@@ -122,85 +125,84 @@ def _initial_rows(system: LinearSystem) -> list[_Row]:
     count = len(system.constraints)
     rows: list[_Row] = []
     for index, (coeffs, rel, rhs) in enumerate(system.constraints):
-        unit = [Fraction(0)] * count
-        unit[index] = Fraction(1)
-        if rel in (LE, LT):
+        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        scaled_rhs = rhs.numerator * (scale // rhs.denominator)
+        unit = [0] * count
+        unit[index] = scale
+        origin = frozenset([index])
+        rows.append(_Row(ints, rel == LT, scaled_rhs, unit, scale, origin, frozenset()))
+        if rel == EQ:
+            negated = [0] * count
+            negated[index] = -scale
             rows.append(
-                _Row(list(coeffs), rel == LT, rhs, unit, frozenset([index]), frozenset())
-            )
-        else:
-            negated = [Fraction(0)] * count
-            negated[index] = Fraction(-1)
-            rows.append(
-                _Row(list(coeffs), False, rhs, unit, frozenset([index]), frozenset())
-            )
-            rows.append(
-                _Row(
-                    [-c for c in coeffs],
-                    False,
-                    -rhs,
-                    negated,
-                    frozenset([index]),
-                    frozenset(),
-                )
+                _Row([-c for c in ints], False, -scaled_rhs, negated, scale, origin, frozenset())
             )
     return rows
 
 
-def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
-    scale_p = 1 / positive.coeffs[var]
-    scale_n = -1 / negative.coeffs[var]
-    coeffs = [
-        scale_p * p + scale_n * n for p, n in zip(positive.coeffs, negative.coeffs)
-    ]
-    coeffs[var] = Fraction(0)  # exact by construction; pin against drift
-    history = [
-        scale_p * p + scale_n * n for p, n in zip(positive.history, negative.history)
-    ]
+def _combine(positive: _Row, negative: _Row, var: int) -> _Row | None:
+    """positive/P_v + negative/(-N_v) in lowest terms, or None if Imbert drops it.
+
+    Imbert's irredundancy bound: a derived row combining more original rows
+    than one plus the variables eliminated on its path is implied by other
+    rows in the projection.  The bound is tested before the rhs and history
+    are built; a pair that cancels every coefficient is still built, since it
+    may be the contradiction.
+    """
+    scale_p = -negative.coeffs[var]
+    scale_n = positive.coeffs[var]
+    coeffs = [p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)]
+    ancestors = positive.ancestors | negative.ancestors
+    eliminated = positive.eliminated | negative.eliminated | {var}
+    if len(ancestors) > 1 + len(eliminated) and any(coeffs):
+        return None
+    rhs = positive.rhs * scale_p + negative.rhs * scale_n
+    history = [p * scale_p + n * scale_n for p, n in zip(positive.history, negative.history)]
+    denom = scale_p * scale_n
+    divisor = math.gcd(denom, rhs, *coeffs, *history)
+    if divisor > 1:
+        coeffs = [c // divisor for c in coeffs]
+        rhs //= divisor
+        history = [h // divisor for h in history]
+        denom //= divisor
     return _Row(
         coeffs,
         positive.strict or negative.strict,
-        scale_p * positive.rhs + scale_n * negative.rhs,
+        rhs,
         history,
-        positive.ancestors | negative.ancestors,
-        positive.eliminated | negative.eliminated | {var},
+        denom,
+        ancestors,
+        eliminated,
     )
 
 
 def _prune(rows: list[_Row]) -> list[_Row]:
-    kept: dict[tuple, _Row] = {}
-    order: list[tuple] = []
+    """Drop tautologies and every row that a parallel, tighter row implies."""
+    kept: dict[tuple[int, ...], tuple[int, _Row]] = {}
     passthrough: list[_Row] = []
     for row in rows:
-        nonzero = next((c for c in row.coeffs if c != 0), None)
-        if nonzero is None:
+        divisor = math.gcd(*row.coeffs)
+        if divisor == 0:
             # keep contradictions for the caller; drop tautologies
             if row.rhs < 0 or (row.strict and row.rhs <= 0):
                 passthrough.append(row)
             continue
-        # Imbert's irredundancy bound: a derived row combining more original
-        # rows than one plus the variables eliminated on its path is implied
-        # by other rows in the projection
-        if len(row.ancestors) > 1 + len(row.eliminated):
-            continue
-        scale = 1 / abs(nonzero)
-        key = tuple(scale * c for c in row.coeffs)
-        scaled_rhs = scale * row.rhs
+        # rows with the same primitive normal are positive multiples of each
+        # other; compare rhs / divisor by cross-multiplication
+        key = tuple(c // divisor for c in row.coeffs)
         previous = kept.get(key)
         if previous is not None:
-            previous_scale = 1 / abs(
-                next(c for c in previous.coeffs if c != 0)
-            )
-            previous_rhs = previous_scale * previous.rhs
-            tighter = scaled_rhs < previous_rhs or (
-                scaled_rhs == previous_rhs and row.strict and not previous.strict
+            previous_divisor, previous_row = previous
+            mine = row.rhs * previous_divisor
+            theirs = previous_row.rhs * divisor
+            tighter = mine < theirs or (
+                mine == theirs and row.strict and not previous_row.strict
             )
             if not tighter:
                 continue
-        else:
-            order.append(key)
-        kept[key] = row
-    return passthrough + [kept[key] for key in order]
+        kept[key] = (divisor, row)
+    return passthrough + [row for _, row in kept.values()]
 
 
 def _contradiction(rows: list[_Row]) -> _Row | None:
@@ -238,7 +240,8 @@ def _choose_value(
         return value - 1 if strict else value
     lo, lo_strict = lower
     hi, hi_strict = upper
-    assert lo < hi or (lo == hi and not lo_strict and not hi_strict)
+    if not (lo < hi or (lo == hi and not lo_strict and not hi_strict)):
+        raise RuntimeError("back-substitution met an empty interval for a variable")
     return lo if lo == hi else (lo + hi) / 2
 
 
@@ -251,14 +254,15 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         bad = _contradiction(rows)
         if bad is not None:
             certificate = FarkasCertificate(
-                multipliers=tuple(bad.history),
+                multipliers=tuple(Fraction(h, bad.denom) for h in bad.history),
                 strict_indices=frozenset(
                     i
                     for i, weight in enumerate(bad.history)
                     if weight > 0 and system.constraints[i][1] == LT
                 ),
             )
-            assert check_certificate(system, certificate)
+            if not check_certificate(system, certificate):
+                raise RuntimeError("Farkas certificate failed its exact recombination check")
             return certificate
         active = [r for r in rows if any(r.coeffs)]
         if not active:
@@ -269,7 +273,7 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         stages.append((var, positive + negative))
         remaining = [r for r in rows if r.coeffs[var] == 0]
         combined = [_combine(p, n, var) for p in positive for n in negative]
-        rows = _prune(remaining + combined)
+        rows = _prune(remaining + [row for row in combined if row is not None])
     values = [Fraction(0)] * width
     for var, involved in reversed(stages):
         lower: tuple[Fraction, bool] | None = None
@@ -292,5 +296,6 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
                     lower = (bound, row.strict)
         values[var] = _choose_value(lower, upper)
     witness = tuple(values)
-    assert system.holds_at(witness)
+    if not system.holds_at(witness):
+        raise RuntimeError("back-substituted witness violates the system")
     return Feasible(witness=witness)

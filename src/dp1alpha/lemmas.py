@@ -574,7 +574,10 @@ def verify_lemma(lemma_id: str) -> LemmaReport:
             witness = dict(zip(case.variables, result.witness))
             reports.append(CaseReport(case.name, False, None, witness))
         else:
-            assert check_certificate(system, result)
+            if not check_certificate(system, result):
+                raise RuntimeError(
+                    f"{lemma_id} case {case.name!r}: certificate failed its exact check"
+                )
             reports.append(CaseReport(case.name, True, result, None))
     return LemmaReport(lemma_id, verified, tuple(reports))
 

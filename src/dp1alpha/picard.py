@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .rationals import format_rational, parse_rational
@@ -164,8 +164,12 @@ class CurveClassSet:
     def __iter__(self) -> Iterator[PicardClass]:
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[PicardClass]:
+        return frozenset(self.members)
+
     def __contains__(self, v: PicardClass) -> bool:
-        return v in set(self.members)
+        return v in self._member_set
 
     def index(self, v: PicardClass) -> int:
         return self.members.index(v)

@@ -1,0 +1,207 @@
+"""Reference oracle: Fourier-Motzkin elimination in plain ``Fraction`` arithmetic.
+
+This is the textbook eliminator: every derived row is ``P/P_v + N/(-N_v)``
+built in full, then pruned by Imbert's irredundancy bound and by
+duplicate normal vectors.  It is kept as an independent implementation of
+the same rules as ``dp1alpha.fme.prove_infeasible`` -- the same row order,
+variable choice, contradiction scan and back-substitution.  The package
+eliminator stores every row as integers over one positive denominator and
+applies Imbert's bound before it builds a pair's row, so both must return
+equal results -- the same certificate or the same witness -- on every system.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from dp1alpha.fme import EQ, LE, LT, FarkasCertificate, Feasible, LinearSystem, check_certificate
+
+
+@dataclass
+class _Row:
+    # working inequality: coeffs . x (< | <=) rhs, with provenance
+    coeffs: list[Fraction]
+    strict: bool
+    rhs: Fraction
+    history: list[Fraction]  # net signed weight per original constraint
+    ancestors: frozenset[int]
+    eliminated: frozenset[int]
+
+
+def _initial_rows(system: LinearSystem) -> list[_Row]:
+    count = len(system.constraints)
+    rows: list[_Row] = []
+    for index, (coeffs, rel, rhs) in enumerate(system.constraints):
+        unit = [Fraction(0)] * count
+        unit[index] = Fraction(1)
+        if rel in (LE, LT):
+            rows.append(
+                _Row(list(coeffs), rel == LT, rhs, unit, frozenset([index]), frozenset())
+            )
+        else:
+            negated = [Fraction(0)] * count
+            negated[index] = Fraction(-1)
+            rows.append(
+                _Row(list(coeffs), False, rhs, unit, frozenset([index]), frozenset())
+            )
+            rows.append(
+                _Row(
+                    [-c for c in coeffs],
+                    False,
+                    -rhs,
+                    negated,
+                    frozenset([index]),
+                    frozenset(),
+                )
+            )
+    return rows
+
+
+def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
+    scale_p = 1 / positive.coeffs[var]
+    scale_n = -1 / negative.coeffs[var]
+    coeffs = [
+        scale_p * p + scale_n * n for p, n in zip(positive.coeffs, negative.coeffs)
+    ]
+    coeffs[var] = Fraction(0)  # exact by construction; pin against drift
+    history = [
+        scale_p * p + scale_n * n for p, n in zip(positive.history, negative.history)
+    ]
+    return _Row(
+        coeffs,
+        positive.strict or negative.strict,
+        scale_p * positive.rhs + scale_n * negative.rhs,
+        history,
+        positive.ancestors | negative.ancestors,
+        positive.eliminated | negative.eliminated | {var},
+    )
+
+
+def _prune(rows: list[_Row]) -> list[_Row]:
+    kept: dict[tuple, _Row] = {}
+    order: list[tuple] = []
+    passthrough: list[_Row] = []
+    for row in rows:
+        nonzero = next((c for c in row.coeffs if c != 0), None)
+        if nonzero is None:
+            # keep contradictions for the caller; drop tautologies
+            if row.rhs < 0 or (row.strict and row.rhs <= 0):
+                passthrough.append(row)
+            continue
+        # Imbert's irredundancy bound: a derived row combining more original
+        # rows than one plus the variables eliminated on its path is implied
+        # by other rows in the projection
+        if len(row.ancestors) > 1 + len(row.eliminated):
+            continue
+        scale = 1 / abs(nonzero)
+        key = tuple(scale * c for c in row.coeffs)
+        scaled_rhs = scale * row.rhs
+        previous = kept.get(key)
+        if previous is not None:
+            previous_scale = 1 / abs(
+                next(c for c in previous.coeffs if c != 0)
+            )
+            previous_rhs = previous_scale * previous.rhs
+            tighter = scaled_rhs < previous_rhs or (
+                scaled_rhs == previous_rhs and row.strict and not previous.strict
+            )
+            if not tighter:
+                continue
+        else:
+            order.append(key)
+        kept[key] = row
+    return passthrough + [kept[key] for key in order]
+
+
+def _contradiction(rows: list[_Row]) -> _Row | None:
+    for row in rows:
+        if any(row.coeffs):
+            continue
+        if row.rhs < 0 or (row.strict and row.rhs <= 0):
+            return row
+    return None
+
+
+def _pick_variable(rows: list[_Row], width: int) -> int:
+    best_var, best_cost = -1, None
+    for var in range(width):
+        positive = sum(1 for r in rows if r.coeffs[var] > 0)
+        negative = sum(1 for r in rows if r.coeffs[var] < 0)
+        if positive + negative == 0:
+            continue
+        cost = positive * negative
+        if best_cost is None or cost < best_cost:
+            best_var, best_cost = var, cost
+    return best_var
+
+
+def _choose_value(
+    lower: tuple[Fraction, bool] | None, upper: tuple[Fraction, bool] | None
+) -> Fraction:
+    if lower is None and upper is None:
+        return Fraction(0)
+    if upper is None:
+        value, strict = lower
+        return value + 1 if strict else value
+    if lower is None:
+        value, strict = upper
+        return value - 1 if strict else value
+    lo, lo_strict = lower
+    hi, hi_strict = upper
+    assert lo < hi or (lo == hi and not lo_strict and not hi_strict)
+    return lo if lo == hi else (lo + hi) / 2
+
+
+def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
+    """Eliminate all variables; return a verified certificate or a witness."""
+    width = len(system.variables)
+    rows = _initial_rows(system)
+    stages: list[tuple[int, list[_Row]]] = []
+    while True:
+        bad = _contradiction(rows)
+        if bad is not None:
+            certificate = FarkasCertificate(
+                multipliers=tuple(bad.history),
+                strict_indices=frozenset(
+                    i
+                    for i, weight in enumerate(bad.history)
+                    if weight > 0 and system.constraints[i][1] == LT
+                ),
+            )
+            assert check_certificate(system, certificate)
+            return certificate
+        active = [r for r in rows if any(r.coeffs)]
+        if not active:
+            break
+        var = _pick_variable(active, width)
+        positive = [r for r in active if r.coeffs[var] > 0]
+        negative = [r for r in active if r.coeffs[var] < 0]
+        stages.append((var, positive + negative))
+        remaining = [r for r in rows if r.coeffs[var] == 0]
+        combined = [_combine(p, n, var) for p in positive for n in negative]
+        rows = _prune(remaining + combined)
+    values = [Fraction(0)] * width
+    for var, involved in reversed(stages):
+        lower: tuple[Fraction, bool] | None = None
+        upper: tuple[Fraction, bool] | None = None
+        for row in involved:
+            rest = sum(
+                (c * values[j] for j, c in enumerate(row.coeffs) if j != var),
+                Fraction(0),
+            )
+            bound = (row.rhs - rest) / row.coeffs[var]
+            if row.coeffs[var] > 0:
+                if upper is None or bound < upper[0] or (
+                    bound == upper[0] and row.strict
+                ):
+                    upper = (bound, row.strict)
+            else:
+                if lower is None or bound > lower[0] or (
+                    bound == lower[0] and row.strict
+                ):
+                    lower = (bound, row.strict)
+        values[var] = _choose_value(lower, upper)
+    witness = tuple(values)
+    assert system.holds_at(witness)
+    return Feasible(witness=witness)

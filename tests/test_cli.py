@@ -11,6 +11,7 @@ import pytest
 
 import dp1alpha
 import dp1alpha.cli as cli
+from dp1alpha import fme, lemmas
 from dp1alpha.cli import build_parser, run
 from dp1alpha.cone import UnclassifiableError
 from dp1alpha.rationals import MAX_DIGITS
@@ -244,6 +245,14 @@ class TestExitCodes:
             assert report is None
             assert err.count("\n") == 1 and "Traceback" not in err
             assert str(failure) in err
+
+    @pytest.mark.parametrize("module", [fme, lemmas])
+    def test_rejected_lemma_certificate_exits_three(self, capsys, monkeypatch, module):
+        monkeypatch.setattr(module, "check_certificate", lambda system, cert: False)
+        code, report, err = invoke(capsys, ["lemma", "verify", "local-1"])
+        assert code == 3
+        assert report is None
+        assert err.startswith("internal failure: RuntimeError")
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["alpha", "--help"], ["alpha", "theorem", "--help"]):

@@ -1,4 +1,5 @@
-"""Tests for the Fourier-Motzkin prover, cross-checked against the simplex."""
+"""Tests for the Fourier-Motzkin prover, cross-checked against the simplex
+and against the ``Fraction`` eliminator in ``tests/reference_fme.py``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference_fme
+from dp1alpha import fme, lemmas
 from dp1alpha.fme import (
     EQ,
     LE,
@@ -18,6 +21,7 @@ from dp1alpha.fme import (
     prove_infeasible,
 )
 from dp1alpha.linprog import INFEASIBLE, OPTIMAL, LPProblem, solve
+from test_acceptance import _random_system as _criterion_10_system
 
 
 def _system(variables: list[str], rows: list[tuple]) -> LinearSystem:
@@ -249,6 +253,73 @@ class TestSimplexCrossCheck:
             outcomes[feasible] += 1
         assert outcomes[True] >= 100  # the forced-feasible half
         assert outcomes[False] >= 40  # plenty of genuine contradictions
+
+
+def _lemma_systems() -> list[LinearSystem]:
+    return [
+        case.system()
+        for lemma_id in lemmas.LEMMA_IDS
+        for case in lemmas.get_encoding(lemma_id).cases
+    ]
+
+
+def _probe_systems() -> list[LinearSystem]:
+    systems = []
+    for lemma_id in lemmas.LEMMA_IDS:
+        encoding = lemmas.get_encoding(lemma_id)
+        for probe in encoding.probes:
+            case = next(c for c in encoding.cases if c.name == probe.case_name)
+            systems.append(case.system(drop=probe.row_tag))
+    return systems
+
+
+class TestAgainstReference:
+    """Integer rows must reproduce the ``Fraction`` eliminator's results exactly."""
+
+    @pytest.mark.parametrize("systems", [_lemma_systems, _probe_systems], ids=["lemmas", "probes"])
+    def test_lemma_bank(self, systems):
+        for system in systems():
+            assert prove_infeasible(system) == reference_fme.prove_infeasible(system)
+
+    def test_criterion_10_systems(self):
+        rng = random.Random(424242)
+        for trial in range(200):
+            system = _criterion_10_system(rng, force_feasible=trial % 2 == 0)
+            expected = reference_fme.prove_infeasible(system)
+            assert prove_infeasible(system) == expected, f"trial {trial}"
+
+    def test_contradiction_from_a_pair_past_imberts_bound(self):
+        # Eliminating x leaves, after duplicate pruning, y >= 2 (rows 1, 3) and
+        # y <= -3 (rows 0, 2).  Their pair draws on four rows, more than one
+        # plus the two eliminated variables, yet it is the contradiction
+        # 0 <= -5: the bound must not drop a pair that cancels every variable.
+        system = _system(
+            ["x", "y"],
+            [((-2, -1), LE, -2), ((1, -2), LE, -1), ((2, 2), LE, -1), ((-1, 1), LE, -1)],
+        )
+        result = prove_infeasible(system)
+        assert result == FarkasCertificate((Fraction(1),) * 4, frozenset())
+        assert result == reference_fme.prove_infeasible(system)
+
+
+class TestSelfChecksRaise:
+    """The self-checks are explicit raises, so they survive ``python -O``."""
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        system = _system(["t"], [((-1,), LT, -1), ((1,), LE, 1)])
+        monkeypatch.setattr(fme, "check_certificate", lambda system, certificate: False)
+        with pytest.raises(RuntimeError, match="certificate"):
+            prove_infeasible(system)
+
+    def test_rejected_witness_raises(self, monkeypatch):
+        system = _system(["t"], [((-1,), LE, 0)])
+        monkeypatch.setattr(LinearSystem, "holds_at", lambda self, point: False)
+        with pytest.raises(RuntimeError, match="witness"):
+            prove_infeasible(system)
+
+    def test_empty_interval_raises(self):
+        with pytest.raises(RuntimeError, match="empty interval"):
+            fme._choose_value((Fraction(1), False), (Fraction(0), False))
 
 
 class TestSystemValidation:

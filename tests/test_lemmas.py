@@ -122,6 +122,15 @@ class TestVerification:
         assert case_report.witness is not None
         assert case_report.witness["x"] > 1
 
+    def test_rejected_certificate_raises(self, monkeypatch):
+        # verify_lemma re-checks each certificate with an explicit raise, so
+        # the check survives python -O
+        import dp1alpha.lemmas as lemmas_module
+
+        monkeypatch.setattr(lemmas_module, "check_certificate", lambda system, cert: False)
+        with pytest.raises(RuntimeError, match="local-1 case 'main'"):
+            verify_lemma("local-1")
+
 
 class TestRelaxationProbes:
     def _all_probes(self):

@@ -113,6 +113,15 @@ class TestEnumerationAgainstOracle:
             hist[int(v.degree)] = hist.get(int(v.degree), 0) + 1
         assert hist == {0: 8, 1: 28, 2: 56, 3: 56, 4: 56, 5: 28, 6: 8}
 
+    def test_membership_agrees_with_members(self):
+        minus_one, conics = enumerate_minus_one_classes(), enumerate_conic_classes()
+        outsiders = [canonical_class(), -canonical_class(), hyperplane_class()]
+        for family, other in ((minus_one, conics), (conics, minus_one)):
+            assert all(v in family for v in family.members)
+            assert not any(v in family for v in other.members)
+            assert not any(v in family for v in outsiders)
+            assert 2 * family.members[0] not in family
+
 
 class TestLatticeBasics:
     def test_signature_pattern(self):
