@@ -23,7 +23,6 @@ from .picard import (
     enumerate_conic_classes,
     enumerate_minus_one_classes,
     format_class,
-    pairing,
 )
 
 P2 = "P2"
@@ -147,7 +146,9 @@ def mu_threshold(A: PicardClass) -> Fraction:
 
 def _boundary_split(
     boundary: PicardClass,
-) -> tuple[list[tuple[Fraction, PicardClass]], PicardClass | None, frozenset[PicardClass]]:
+) -> tuple[
+    list[tuple[Fraction, PicardClass]], Fraction, PicardClass | None, frozenset[PicardClass]
+]:
     """Read D = K + mu*A as sum(a_E * E) + delta*C off the lattice, with its face.
 
     Distinct (-1)-classes meet non-negatively and a conic class C is nef, so
@@ -156,8 +157,8 @@ def _boundary_split(
     scan takes N = {E : D.E < 0} with coefficients -D.E; the residual
     R = D - sum(-D.E * E) must be 0 or delta*C with delta > 0.
 
-    Returns N with its coefficients (in enumeration order), C or None, and
-    the generators of the minimal face of D:
+    Returns N with its coefficients (in enumeration order), delta, C or
+    None, and the generators of the minimal face of D:
 
     - R = 0: the face is N.  L = -K + sum(N), the pull-back of -K from
       contracting N, is nef and vanishes on D; L.E = 1 + sum(E'.E for E'
@@ -175,7 +176,7 @@ def _boundary_split(
         residual = [r - coeff * x for r, x in zip(residual, rows[j])]
     split = [(Fraction(coeff, denom), curves[j]) for j, coeff in negative]
     if not any(residual):
-        return split, None, frozenset(e for _, e in split)
+        return split, Fraction(0), None, frozenset(e for _, e in split)
 
     twice_delta = 3 * residual[0] + sum(residual[1:])  # -R.K = 2*delta*denom
     if twice_delta <= 0 or any(2 * r % twice_delta for r in residual):
@@ -192,7 +193,7 @@ def _boundary_split(
     if any(against_conic[j] for j, _ in negative):
         raise UnclassifiableError("negative part is not vertical for the fiber class")
     face = frozenset(e for e, p in zip(curves, against_conic) if p == 0)
-    return split, PicardClass(conic), face
+    return split, Fraction(twice_delta, 2 * denom), PicardClass(conic), face
 
 
 @lru_cache(maxsize=None)
@@ -228,79 +229,49 @@ def _extend_to_disjoint_eight(
     return None if found is None else list(chosen) + [curves[j] for j in found]
 
 
-def _integer_kernel_basis(constraints: list[PicardClass]) -> list[tuple[int, ...]]:
-    """Z-basis of { v integral : v . E = 0 for all E in constraints }.
-
-    Column reduction over the integers with unimodular operations, so the
-    result is a basis of the full kernel lattice, not a finite-index
-    sublattice (that distinction matters for the parity test).
-    """
-    signs = (1,) + (-1,) * 8
-    rows = [
-        [int(s * c) for s, c in zip(signs, e.coeffs)] for e in constraints
-    ]
-    ncols = 9
-    mat = [list(row) for row in rows]
-    unimod = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for r in range(len(mat)):
-            mat[r][dst] += q * mat[r][src]
-        for r in range(ncols):
-            unimod[r][dst] += q * unimod[r][src]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(len(mat)):
-            mat[r][i], mat[r][j] = mat[r][j], mat[r][i]
-        for r in range(ncols):
-            unimod[r][i], unimod[r][j] = unimod[r][j], unimod[r][i]
-
-    pivot_col = 0
-    for r in range(len(mat)):
-        active = [c for c in range(pivot_col, ncols) if mat[r][c] != 0]
-        if not active:
-            continue
-        # Euclidean reduction across the active columns of this row
-        while True:
-            active = [c for c in range(pivot_col, ncols) if mat[r][c] != 0]
-            if len(active) <= 1:
-                break
-            active.sort(key=lambda c: abs(mat[r][c]))
-            small = active[0]
-            for other in active[1:]:
-                col_addmul(other, small, -(mat[r][other] // mat[r][small]))
-        remaining = next(c for c in range(pivot_col, ncols) if mat[r][c] != 0)
-        col_swap(pivot_col, remaining)
-        pivot_col += 1
-
-    kernel = [
-        tuple(unimod[r][c] for r in range(ncols)) for c in range(pivot_col, ncols)
-    ]
-    for vec in kernel:  # exactness check against the original constraints
-        for row in rows:
-            if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise AssertionError("kernel computation produced a non-solution")
-    return kernel
-
-
 def _complement_is_even(seven: list[PicardClass]) -> bool:
-    """Parity of the rank-2 lattice orthogonal to seven disjoint (-1)-classes."""
-    kernel = _integer_kernel_basis(seven)
-    if len(kernel) != 2:
-        raise UnclassifiableError(
-            f"orthogonal complement has rank {len(kernel)}, expected 2"
-        )
-    vectors = [PicardClass(v) for v in kernel]
-    # a rank-2 form with integral cross terms is even iff both diagonal
-    # squares are even
-    return all(pairing(v, v) % 2 == 0 for v in vectors)
+    """Parity of the rank-2 lattice L orthogonal to seven disjoint (-1)-classes.
+
+    The E_i span -I_7, which is unimodular, so L is unimodular.  K is
+    characteristic (v.v = v.K mod 2 for integral v), and w = K - sum(E_i)
+    pairs to K.E_i + 1 = 0 with each E_i, so w lies in L and is
+    characteristic for L.  A unimodular lattice is even exactly when its
+    characteristic vectors lie in 2L (Milnor-Husemoller), and L is
+    primitive, so L is even exactly when every coordinate of w is even.
+    """
+    minus_one = enumerate_minus_one_classes()
+    rows = [_cleared(e)[1] for e in seven]
+    if len(seven) != 7 or not all(e in minus_one for e in seven) or any(
+        u[0] * v[0] != sum(a * b for a, b in zip(u[1:], v[1:]))
+        for i, u in enumerate(rows)
+        for v in rows[i + 1 :]
+    ):
+        raise UnclassifiableError("parity test needs seven disjoint (-1)-classes")
+    w = [int(k) - sum(col) for k, col in zip(canonical_class().coeffs, zip(*rows))]
+    return all(c % 2 == 0 for c in w)
 
 
-def _sorted_decomposition(
+def _profile(
+    type_tag: str,
+    mu: Fraction,
     coefficients: list[tuple[Fraction, PicardClass]],
-) -> tuple[tuple[Fraction, ...], tuple[PicardClass, ...]]:
+    delta: Fraction,
+    face: frozenset[PicardClass],
+    conic: PicardClass | None,
+) -> PolarizationProfile:
+    """The profile whose basis is `coefficients` sorted by descending coefficient."""
     ordered = sorted(coefficients, key=lambda item: (-item[0], item[1]))
-    return tuple(c for c, _ in ordered), tuple(e for _, e in ordered)
+    a = tuple(c for c, _ in ordered)
+    return PolarizationProfile(
+        type_tag=type_tag,
+        mu=mu,
+        a=a,
+        delta=delta,
+        s_A=sum(a[1:], Fraction(0)),
+        face_generators=face,
+        basis=tuple(e for _, e in ordered),
+        conic=conic,
+    )
 
 
 def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
@@ -327,12 +298,11 @@ def classify(A: PicardClass) -> PolarizationProfile:
     if not is_ample(A):
         raise ValueError("classify requires an ample class")
     mu = mu_threshold(A)
-    boundary = canonical_class() + mu * A
-    negative, conic, face = _boundary_split(boundary)
+    negative, delta, conic, face = _boundary_split(canonical_class() + mu * A)
     if conic is None:
         profile = _classify_orthogonal(mu, negative, face)
     else:
-        profile = _classify_conic_bundle(mu, boundary, face, conic)
+        profile = _classify_conic_bundle(mu, negative, delta, conic, face)
     _validate_profile(profile, A)
     return profile
 
@@ -346,22 +316,8 @@ def _classify_orthogonal(
     extended = _extend_to_disjoint_eight(face_list)
     if extended is not None:
         padded = coefficients + [(Fraction(0), e) for e in extended if e not in face]
-        a, basis = _sorted_decomposition(padded)
-        return PolarizationProfile(
-            type_tag=P2,
-            mu=mu,
-            a=a,
-            delta=Fraction(0),
-            s_A=sum(a[1:], Fraction(0)),
-            face_generators=face,
-            basis=basis,
-            conic=None,
-        )
+        return _profile(P2, mu, padded, Fraction(0), face, None)
 
-    if len(face_list) != 7:
-        raise UnclassifiableError(
-            f"{len(face_list)} disjoint face generators admit no disjoint eighth"
-        )
     if not _complement_is_even(face_list):
         raise UnclassifiableError(
             "seven-generator face with odd complement should extend to eight"
@@ -378,70 +334,32 @@ def _classify_orthogonal(
     )
     if conic is None:
         raise UnclassifiableError("no conic class orthogonal to the seven generators")
-    a, basis = _sorted_decomposition(coefficients)
-    return PolarizationProfile(
-        type_tag=P1XP1,
-        mu=mu,
-        a=a,
-        delta=Fraction(0),
-        s_A=sum(a[1:], Fraction(0)),
-        face_generators=face,
-        basis=basis,
-        conic=conic,
-    )
+    return _profile(P1XP1, mu, coefficients, Fraction(0), face, conic)
 
 
 def _classify_conic_bundle(
     mu: Fraction,
-    boundary: PicardClass,
-    face: frozenset[PicardClass],
+    negative: list[tuple[Fraction, PicardClass]],
+    delta: Fraction,
     conic: PicardClass,
+    face: frozenset[PicardClass],
 ) -> PolarizationProfile:
     if len(face) != 14:
         raise UnclassifiableError(
             f"fiber class has {len(face)} reducible-member components, expected 14"
         )
-    # conic - p is a (-1)-class orthogonal to the conic for every p in the face
-    pairs = [(p, conic - p) for p in sorted(face) if p < conic - p]
-
-    chosen: list[tuple[Fraction, PicardClass]] = []
-    for p, q in pairs:
-        against_p = pairing(boundary, p)  # pairing with q is the negative of this
-        if against_p > 0:
-            pick = q
-        else:
-            pick = p  # strictly negative, or a zero-zero tie broken to the lex-smaller
-        chosen.append((-pairing(boundary, pick), pick))
-
-    selected = [e for _, e in chosen]
-    for i, left in enumerate(selected):
-        for right in selected[i + 1 :]:
-            if pairing(left, right) != 0:
-                raise UnclassifiableError("chosen fiber components are not disjoint")
-
-    residual = boundary
-    for coeff, e in chosen:
-        residual = residual - coeff * e
-    delta = -pairing(residual, canonical_class()) / 2
-    if delta < 0 or residual != delta * conic:
-        raise UnclassifiableError("residual is not a nonnegative multiple of the fiber class")
-
-    # a section is a (-1)-class orthogonal to all seven chosen components
-    orthogonal = [
-        {j for j, p in enumerate(_pairings(_cleared(e)[1])) if p == 0} for e in selected
+    # N holds at most one component p or q = conic - p of each reducible fibre
+    # (D.p + D.q = D.conic = 0); a fibre without one contributes the
+    # lex-smaller component with coefficient 0
+    in_negative = {e for _, e in negative}
+    fibres = ((p, conic - p) for p in sorted(face))
+    chosen = negative + [
+        (Fraction(0), p) for p, q in fibres if p < q and not in_negative & {p, q}
     ]
-    has_section = bool(set.intersection(*orthogonal))
-    if has_section == _complement_is_even(selected):
+    selected = [e for _, e in chosen]
+    even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
+    # a section is a (-1)-class orthogonal to all seven chosen components
+    has_section = _extend_to_disjoint_eight(selected) is not None
+    if has_section == even:
         raise UnclassifiableError("section search disagrees with the lattice parity test")
-
-    a, basis = _sorted_decomposition(chosen)
-    return PolarizationProfile(
-        type_tag=F1 if has_section else P1XP1,
-        mu=mu,
-        a=a,
-        delta=delta,
-        s_A=sum(a[1:], Fraction(0)),
-        face_generators=face,
-        basis=basis,
-        conic=conic,
-    )
+    return _profile(F1 if has_section else P1XP1, mu, chosen, delta, face, conic)

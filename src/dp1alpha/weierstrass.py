@@ -388,10 +388,9 @@ def _form_square_root(form: BinaryForm) -> BinaryForm | None:
     if _mul(g_poly, g_poly) != poly:
         return None
     g_degree = form.degree // 2
-    g_inf = m_inf // 2
     coeffs = [Fraction(0)] * (g_degree + 1)
     for power, c in enumerate(g_poly):  # coefficient of u^power
-        coeffs[g_degree - g_inf - power + g_inf] = c
+        coeffs[g_degree - power] = c
     result = BinaryForm(g_degree, coeffs)
     first = next(c for c in result.coeffs if c != 0)
     if first < 0:

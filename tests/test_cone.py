@@ -34,6 +34,7 @@ from dp1alpha.picard import (
     parse_class,
 )
 from reference_face import _face_of, minimal_face, minimal_face_by_generator
+from reference_parity import complement_is_even as reference_complement_is_even
 
 K = canonical_class()
 H = hyperplane_class()
@@ -274,6 +275,82 @@ class TestClassify:
             assert total == K + profile.mu * a
             _profile_checks(profile, 8 if profile.type_tag == P2 else 7)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",
+                (
+                    P1XP1, "3/8", ("7/16", "1/8", "1/16", "1/16", "1/16", "0", "0"),
+                    "1/8", "5/16",
+                    ("1,0,0,-1,0,-1,0,0,0", "3,-1,-1,-2,-1,-1,-1,0,-1",
+                     "0,0,0,0,0,0,0,1,0", "1,-1,0,-1,0,0,0,0,0", "2,-1,0,-1,0,-1,-1,0,-1",
+                     "2,-1,-1,-1,0,-1,-1,0,0", "2,-1,-1,-1,0,-1,0,0,-1"),
+                    "4,-2,-1,-2,-1,-2,-1,0,-1",
+                ),
+            ),
+            (
+                "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",
+                (
+                    F1, "3/8", ("7/16", "1/8", "1/16", "1/16", "1/16", "0", "0"),
+                    "1/8", "5/16",
+                    ("1,0,0,0,0,0,-1,0,-1", "3,-1,-1,-1,0,-1,-1,-1,-2",
+                     "0,0,0,0,1,0,0,0,0", "1,0,0,0,0,-1,0,0,-1", "2,-1,0,0,0,-1,-1,-1,-1",
+                     "2,-1,-1,0,0,-1,-1,0,-1", "2,-1,0,-1,0,-1,-1,0,-1"),
+                    "4,-1,-1,-1,0,-2,-2,-1,-2",
+                ),
+            ),
+            (
+                "9,-2,-5/2,-11/3,-1,-2,-4,-8/3,-3",
+                (
+                    P1XP1, "3/7", ("4/7", "3/7", "1/7", "1/7", "1/7", "1/14", "0"),
+                    "1/14", "13/14",
+                    ("0,0,0,0,1,0,0,0,0", "1,0,0,-1,0,0,-1,0,0", "0,0,0,0,0,1,0,0,0",
+                     "0,1,0,0,0,0,0,0,0", "1,0,0,0,0,0,-1,0,-1", "2,0,-1,-1,0,0,-1,-1,-1",
+                     "1,0,0,-1,0,0,0,0,-1"),
+                    "2,0,0,-1,0,0,-1,-1,-1",
+                ),
+            ),
+        ],
+    )
+    def test_conic_bundle_profiles_with_zero_coefficient_fibres(self, text, expected):
+        # the zero-coefficient fibres take their lex-smaller component; the
+        # first two classes are one class up to relabelling (the known
+        # type defect pinned by test_type_is_labelling_invariant)
+        type_tag, mu, a, delta, s_a, basis, conic = expected
+        profile = classify(parse_class(text))
+        assert profile.type_tag == type_tag
+        assert profile.mu == Fraction(mu)
+        assert profile.a == tuple(Fraction(x) for x in a)
+        assert profile.delta == Fraction(delta)
+        assert profile.s_A == Fraction(s_a)
+        assert profile.basis == tuple(parse_class(e) for e in basis)
+        assert profile.conic == parse_class(conic)
+        _profile_checks(profile, 7)
+
+    @pytest.mark.parametrize("flipped", ["_complement_is_even", "_extend_to_disjoint_eight"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",  # P1xP1
+            "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",  # F1
+        ],
+    )
+    def test_conic_bundle_type_is_cross_checked(self, monkeypatch, flipped, text):
+        # a section search or parity test that answers wrongly must make
+        # classify fail, not pick the other type
+        real = getattr(cone, flipped)
+        if flipped == "_complement_is_even":
+            monkeypatch.setattr(cone, flipped, lambda seven: not real(seven))
+        else:
+            monkeypatch.setattr(
+                cone,
+                flipped,
+                lambda chosen: list(chosen) + [LEX_FIRST] if real(chosen) is None else None,
+            )
+        with pytest.raises(UnclassifiableError):
+            classify(parse_class(text))
+
     def test_mu_scaling_leaves_profile_data_fixed(self):
         a = -K + Fraction(1, 3) * LEX_FIRST
         one = classify(a)
@@ -415,6 +492,27 @@ class TestWeylInvariance:
         )
 
 
+def _random_disjoint_sevens(rng: random.Random, count: int) -> list[list[PicardClass]]:
+    """Greedy random disjoint 7-sets; a disjoint set of at most six always extends."""
+    curves = enumerate_minus_one_classes().members
+    rows = [tuple(int(c) for c in e.coeffs) for e in curves]
+
+    def meets(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+        return left[0] * right[0] != sum(a * b for a, b in zip(left[1:], right[1:]))
+
+    orthogonal = [{k for k, right in enumerate(rows) if not meets(left, right)} for left in rows]
+    sevens = []
+    for _ in range(count):
+        candidates = set(range(len(curves)))
+        chosen = []
+        while len(chosen) < 7:
+            j = rng.choice(sorted(candidates))
+            chosen.append(curves[j])
+            candidates &= orthogonal[j]
+        sevens.append(chosen)
+    return sevens
+
+
 class TestComplementParity:
     def test_even_set(self):
         from dp1alpha.cone import _complement_is_even
@@ -426,6 +524,31 @@ class TestComplementParity:
         from dp1alpha.cone import _complement_is_even
 
         assert not _complement_is_even([E(i) for i in range(2, 9)])
+
+    def test_agrees_with_kernel_basis_reference(self):
+        from dp1alpha.cone import _complement_is_even
+
+        parities = []
+        for seven in _random_disjoint_sevens(random.Random(31), 1000):
+            even = reference_complement_is_even(seven)
+            assert _complement_is_even(seven) == even
+            parities.append(even)
+        assert 100 < sum(parities) < 900
+
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [E(i) for i in range(2, 8)],  # six classes
+            [E(i) for i in range(2, 9)] + [E(1)],  # eight classes
+            [E(i) for i in range(2, 8)] + [H - E(1) - E(2)],  # meets e2
+            [E(i) for i in range(2, 8)] + [H - E(1)],  # a conic, not a (-1)-class
+        ],
+    )
+    def test_rejects_a_broken_premise(self, classes):
+        from dp1alpha.cone import _complement_is_even
+
+        with pytest.raises(UnclassifiableError):
+            _complement_is_even(classes)
 
     def test_parity_matches_section_search(self):
         # on a sample of disjoint 7-sets: a disjoint (-1)-class exists
