@@ -4,14 +4,20 @@ Surfaces are anticanonically embedded in P(1,1,2,3) as w^2 = z^3 + a(x,y)z
 + b(x,y) with deg a = 4 and deg b = 6.  This module decides smoothness of
 the total space, detects cuspidal members of the anticanonical pencil, and
 handles the section pairs C / C-tilde cut out by z = q(x,y), w = +-g(x,y).
-All computations are exact: gcds, exact division, resultants, and degree
-arithmetic over the rationals, never numerical root finding.
+All computations are exact, never numerical root finding.  Forms carry
+rational coefficients, but the root questions run on integers: a form is
+scaled by the lcm of its denominators, polynomials are kept primitive
+(content divided out, positive leading coefficient), gcds come from the
+primitive remainder sequence, quotients by primitive divisors are exact in
+Z[x], the discriminant is one integer multiple of 4a^3 + 27b^2, and the
+resultant is a fraction-free (Bareiss) Sylvester determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .rationals import format_rational, parse_rational, rational_sqrt
@@ -23,74 +29,142 @@ class NotASectionError(Exception):
 
 # --------------------------------------------------------------------------
 # Univariate helpers (coefficient tuples, lowest degree first)
+#
+# The root questions below run on primitive integer polynomials: integer
+# coefficients with no common factor and a positive leading coefficient.
+# Scaling by a nonzero rational changes no root, so a polynomial over Q is
+# replaced by the primitive polynomial proportional to it.
 # --------------------------------------------------------------------------
 
 
-def _trim(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _trim(p: tuple) -> tuple:
     n = len(p)
     while n > 0 and p[n - 1] == 0:
         n -= 1
     return p[:n]
 
 
-def _deg(p: tuple[Fraction, ...]) -> int:
+def _deg(p: tuple) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def _mul(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _clear(coeffs: tuple) -> tuple[tuple[int, ...], int]:
+    """Integers n_i and the least d > 0 with coeffs[i] = n_i / d (ints or rationals)."""
+    denom = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (denom // c.denominator) for c in coeffs), denom
+
+
+def _primitive(p: tuple[int, ...]) -> tuple[int, ...]:
+    """p over its content, with positive leading coefficient; () for zero."""
+    p = _trim(p)
+    if not p:
+        return ()
+    content = gcd(*p)
+    if p[-1] < 0:
+        content = -content
+    return p if content == 1 else tuple([c // content for c in p])
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    """Product of coefficient tuples, of length len(p) + len(q) - 1."""
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _trim(tuple(out))
+    return tuple(out)
 
 
 def _divmod(
-    p: tuple[Fraction, ...], q: tuple[Fraction, ...]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    p: tuple[int, ...], q: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quot, rem) with s*p = quot*q + rem for an integer s > 0 and deg rem < deg q.
+
+    Long division that scales the running remainder only when the leading
+    coefficient of q does not divide its top coefficient, so s = 1 whenever
+    q divides p in Z[x].  For a primitive q that is whenever q divides p over
+    Q (Gauss's lemma), and the quotient is then exact.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
+    lead, shift = q[-1], len(q) - 1
     rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv_lead = 1 / q[-1]
-    for top in range(len(rem) - 1, len(q) - 2, -1):
-        factor = rem[top] * inv_lead
-        if factor:
-            quot[top - len(q) + 1] = factor
-            for j in range(len(q)):
-                rem[top - len(q) + 1 + j] -= factor * q[j]
-    return _trim(tuple(quot)), _trim(tuple(rem))
+    quot = [0] * max(len(p) - shift, 0)
+    for top in range(len(rem) - 1, shift - 1, -1):
+        c = rem[top]
+        if not c:
+            continue
+        if c % lead:
+            scale = abs(lead) // gcd(c, lead)
+            rem = [scale * r for r in rem]
+            quot = [scale * t for t in quot]
+            c *= scale
+        factor = c // lead
+        base = top - shift
+        quot[base] = factor
+        rem[base:top] = [r - factor * b for r, b in zip(rem[base:top], q)]
+    return _trim(tuple(quot)), _trim(tuple(rem[:shift]))
 
 
-def _gcd(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _gcd(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd by the primitive remainder sequence (Collins 1967)."""
+    p, q = _primitive(p), _primitive(q)
     while q:
-        p, q = q, _divmod(p, q)[1]
-    if p:
-        inv = 1 / p[-1]
-        p = tuple(c * inv for c in p)  # monic normalization
+        p, q = q, _primitive(_divmod(p, q)[1])
     return p
 
 
-def _derivative(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return _trim(tuple(Fraction(i) * c for i, c in enumerate(p)))[1:] or ()
+def _derivative(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def _squarefree(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _squarefree(p: tuple) -> tuple[int, ...]:
+    """Primitive squarefree part of p; p may have rational coefficients."""
+    p = _primitive(_clear(p)[0])
     if _deg(p) < 1:
         return p
-    return _divmod(p, _gcd(p, _derivative(p)))[0]
+    return _divmod(p, _gcd(p, _derivative(p)))[0]  # exact, and primitive
 
 
-def _divides(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> bool:
-    """True iff p divides q (the zero polynomial is divisible by anything)."""
+def _divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """True iff p divides q over Q (the zero polynomial is divisible by anything)."""
     if not q:
         return True
     if not p:
         return False
     return not _divmod(q, p)[1]
+
+
+def _finite(coeffs: tuple) -> tuple[tuple[int, ...], int]:
+    """Primitive F proportional to f(u, 1), and the multiplicity of the root [1:0].
+
+    coeffs are the coefficients (ints or rationals) of a nonzero form, x^degree first.
+    """
+    m_inf = next(i for i, c in enumerate(coeffs) if c)
+    return _primitive(_clear(coeffs[m_inf:][::-1])[0]), m_inf
+
+
+def _determinant(rows: list[list[int]]) -> int:
+    """Determinant by Bareiss's fraction-free elimination (every division is exact)."""
+    size = len(rows)
+    sign, prev = 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        lead, tail = top[k], top[k + 1 :]
+        for r in range(k + 1, size):
+            row = rows[r]
+            c = row[k]
+            row[k + 1 :] = [(lead * x - c * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = lead
+    return sign * prev
 
 
 # --------------------------------------------------------------------------
@@ -213,44 +287,42 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
 
     Zero exactly when the forms share a projective root, the root [1:0]
     included (degenerate leading coefficients shrink the determinant).
+    Each form is scaled to integers by the lcm of its denominators; the
+    Sylvester determinant is homogeneous of degree deg g in f's row and
+    deg f in g's, so those powers of the scales divide back out.
     """
     m, n = f.degree, g.degree
-    size = m + n
-    if size == 0:
-        return Fraction(1)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for row in range(n):
-        for i, c in enumerate(f.coeffs):
-            matrix[row][row + i] = c
-    for row in range(m):
-        for i, c in enumerate(g.coeffs):
-            matrix[n + row][row + i] = c
-    # exact determinant by fraction Gaussian elimination
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if matrix[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            det = -det
-        det *= matrix[col][col]
-        inv = 1 / matrix[col][col]
-        for r in range(col + 1, size):
-            factor = matrix[r][col] * inv
-            if factor:
-                matrix[r] = [
-                    a - factor * b for a, b in zip(matrix[r], matrix[col])
-                ]
-    return det
+    f_int, f_denom = _clear(f.coeffs)
+    g_int, g_denom = _clear(g.coeffs)
+    rows = [[0] * r + list(f_int) + [0] * (n - 1 - r) for r in range(n)]
+    rows += [[0] * r + list(g_int) + [0] * (m - 1 - r) for r in range(m)]
+    return Fraction(_determinant(rows), f_denom**n * g_denom**m)
 
 
 def distinct_root_count(f: BinaryForm) -> int:
     """Number of distinct projective roots over the complex numbers."""
     if f.is_zero():
         raise ValueError("the zero form has no root count")
-    poly, m_inf = f.finite_part()
+    poly, m_inf = _finite(f.coeffs)
     return _deg(_squarefree(poly)) + (1 if m_inf >= 1 else 0)
+
+
+def _discriminant(a: BinaryForm, b: BinaryForm) -> tuple[tuple[int, ...], int]:
+    """Integers D_i and a denominator d > 0 with 4a^3 + 27b^2 = sum D_i/d x^(12-i) y^i.
+
+    With a = A/d_a and b = B/d_b over integer A, B this is
+    D = 4 d_b^2 A^3 + 27 d_a^3 B^2 over d = d_a^3 d_b^2: a positive multiple
+    of the discriminant, so it has the same roots with the same multiplicities.
+    """
+    a_int, a_denom = _clear(a.coeffs)
+    b_int, b_denom = _clear(b.coeffs)
+    a_cubed = _mul(_mul(a_int, a_int), a_int)
+    b_squared = _mul(b_int, b_int)
+    s, t = 4 * b_denom**2, 27 * a_denom**3
+    return (
+        tuple(s * x + t * y for x, y in zip(a_cubed, b_squared)),
+        a_denom**3 * b_denom**2,
+    )
 
 
 @dataclass(frozen=True)
@@ -263,11 +335,12 @@ class WeierstrassSurface:
     def __post_init__(self) -> None:
         if self.a.degree != 4 or self.b.degree != 6:
             raise ValueError("need deg a = 4 and deg b = 6")
-        if self.discriminant().is_zero():
+        if not any(_discriminant(self.a, self.b)[0]):
             raise ValueError("discriminant 4a^3 + 27b^2 vanishes identically")
 
     def discriminant(self) -> BinaryForm:
-        return 4 * self.a**3 + 27 * self.b**2
+        coeffs, denom = _discriminant(self.a, self.b)
+        return BinaryForm(12, (Fraction(c, denom) for c in coeffs))
 
 
 def is_smooth(surface: WeierstrassSurface) -> bool:
@@ -277,9 +350,10 @@ def is_smooth(surface: WeierstrassSurface) -> bool:
     product of the distinct multiple-root factors, require ord(Delta) = 2,
     ord(b) = 1, and ord(a) >= 1 along R -- as form divisibilities:
     R^2 | Delta with Delta/R^2 coprime to R, R | a, R | b, b/R coprime to R.
+    Delta is read through the integer multiple of `_discriminant`, and every
+    polynomial below is primitive, so each quotient is exact in Z[x].
     """
-    delta = surface.discriminant()
-    d_poly, d_inf = delta.finite_part()
+    d_poly, d_inf = _finite(_discriminant(surface.a, surface.b)[0])
 
     # distinct multiple-root factors of Delta: finite ones from gcd(F, F'),
     # plus the root [1:0] exactly when its multiplicity is >= 2
@@ -295,20 +369,14 @@ def is_smooth(surface: WeierstrassSurface) -> bool:
     if _deg(_gcd(cofactor, r_poly)) > 0 or min(d_inf - 2 * r_inf, r_inf) > 0:
         return False
 
-    def form_data(form: BinaryForm) -> tuple[tuple[Fraction, ...], int] | None:
-        return None if form.is_zero() else form.finite_part()
-
-    a_data = form_data(surface.a)
-    if a_data is not None:
-        a_poly, a_inf = a_data
+    if not surface.a.is_zero():  # a identically zero is divisible by anything
+        a_poly, a_inf = _finite(surface.a.coeffs)
         if not _divides(r_poly, a_poly) or r_inf > a_inf:
             return False
-    # a identically zero is divisible by anything
 
-    b_data = form_data(surface.b)
-    if b_data is None:
+    if surface.b.is_zero():
         return False  # b = 0 forces ord(b) = infinity at every root of R
-    b_poly, b_inf = b_data
+    b_poly, b_inf = _finite(surface.b.coeffs)
     if not _divides(r_poly, b_poly) or r_inf > b_inf:
         return False
     b_cofactor = _divmod(b_poly, r_poly)[0]

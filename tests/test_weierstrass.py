@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_weierstrass
 import sympy
 
 from dp1alpha.weierstrass import (
@@ -365,3 +366,205 @@ class TestEndToEnd:
         assert alpha_of_surface(MAIN) == 1
         pairs = find_square_sections(MAIN)
         assert len(pairs) == 1 and pairs[0].n_intersections == 1
+
+
+# --------------------------------------------------------------------------
+# The integer engine against the Fraction reference and independent oracles
+# --------------------------------------------------------------------------
+
+_Y = BinaryForm(1, (0, 1))
+
+
+def _nonzero_form(rng: random.Random, degree: int, low=-3, high=3, rational=False):
+    while True:
+        if rational:
+            coeffs = [Fraction(rng.randint(low, high), rng.randint(1, 6)) for _ in range(degree + 1)]
+        else:
+            coeffs = [rng.randint(low, high) for _ in range(degree + 1)]
+        form = BinaryForm(degree, coeffs)
+        if not form.is_zero():
+            return form
+
+
+# "generic", "square" and "shared-root" are the benchmark's surface kinds
+SURFACE_KINDS = (
+    "generic", "square", "shared-root", "rational", "rational-node", "infinity", "a-zero",
+    "double", "small",
+)
+
+
+def _random_surface(rng: random.Random, kind: str) -> WeierstrassSurface:
+    while True:
+        if kind == "generic":
+            a, b = _nonzero_form(rng, 4), _nonzero_form(rng, 6)
+        elif kind == "square":
+            a, g = _nonzero_form(rng, 4), _nonzero_form(rng, 3)
+            b = g * g
+        elif kind == "shared-root":
+            line = _nonzero_form(rng, 1)
+            a, b = line * _nonzero_form(rng, 3), line * _nonzero_form(rng, 5)
+        elif kind == "rational":
+            a = _nonzero_form(rng, 4, rational=True)
+            b = _nonzero_form(rng, 6, rational=True)
+        elif kind == "rational-node":
+            # Delta has a double root at u = 0 where a does not vanish: a node
+            # of the total space, found only if both denominators are honoured
+            # (a(0) = -3s^2, b(0) = 2s^3 and b'(0) = -s a'(0))
+            s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(2, 4))
+            a = _nonzero_form(rng, 4, rational=True)
+            b = _nonzero_form(rng, 6, rational=True)
+            a = BinaryForm(4, a.coeffs[:3] + (a.coeffs[3], -3 * s**2))
+            b = BinaryForm(6, b.coeffs[:5] + (-s * a.coeffs[3], 2 * s**3))
+        elif kind == "infinity":  # roots at [1:0]
+            i, j = rng.randint(0, 2), rng.randint(1, 3)
+            a = _Y**i * _nonzero_form(rng, 4 - i, -2, 2)
+            b = _Y**j * _nonzero_form(rng, 6 - j, -2, 2)
+        elif kind == "a-zero":
+            a = ZERO4
+            if rng.random() < 0.5:
+                b = _nonzero_form(rng, 6)
+            else:
+                b = _nonzero_form(rng, 1) ** 2 * _nonzero_form(rng, 4)
+        elif kind == "double":  # b with a forced double linear factor
+            line = _nonzero_form(rng, 1, -2, 2)
+            b = line * line * _nonzero_form(rng, 4, -2, 2)
+            if rng.random() < 0.5:
+                a = line * _nonzero_form(rng, 3, -2, 2)
+            else:
+                a = _nonzero_form(rng, 4, -2, 2)
+        else:  # coefficients in {-1, 0, 1}: multiple roots arise on their own
+            a, b = _nonzero_form(rng, 4, -1, 1), _nonzero_form(rng, 6, -1, 1)
+        try:
+            return WeierstrassSurface(a=a, b=b)
+        except ValueError:  # discriminant vanishes identically
+            continue
+
+
+def _surfaces(seed: int, count: int) -> list[WeierstrassSurface]:
+    rng = random.Random(seed)
+    return [_random_surface(rng, SURFACE_KINDS[k % len(SURFACE_KINDS)]) for k in range(count)]
+
+
+class TestAgainstReference:
+    """The integer engine equals the `Fraction` code in tests/reference_weierstrass.py."""
+
+    def test_surfaces(self):
+        singular = 0
+        for k, surface in enumerate(_surfaces(2024, 2000)):
+            smooth = reference_weierstrass.is_smooth(surface)
+            assert is_smooth(surface) == smooth
+            singular += not smooth
+            expected = reference_weierstrass.resultant(surface.a, surface.b)
+            assert resultant(surface.a, surface.b) == expected
+            if smooth:
+                cusp = surface.a.is_zero() or expected == 0
+                assert has_cuspidal_member(surface) == cusp
+            for form in (surface.a, surface.b):
+                if not form.is_zero():
+                    assert distinct_root_count(form) == reference_weierstrass.distinct_root_count(form)
+            assert find_square_sections(surface) == reference_weierstrass.find_square_sections(surface)
+            if k % 10 == 0:
+                assert surface.discriminant() == reference_weierstrass.discriminant(surface)
+        assert singular >= 300
+
+    def test_resultant_on_random_pairs(self):
+        rng = random.Random(2025)
+        for _ in range(1000):
+            # f may vanish identically or have zero leading coefficients
+            f = _random_form(rng, rng.randint(0, 6), -2, 2)
+            if rng.random() < 0.5:
+                f = BinaryForm(f.degree, [c / rng.randint(1, 6) for c in f.coeffs])
+            g = _nonzero_form(rng, rng.randint(0, 6), rational=rng.random() < 0.5)
+            assert resultant(f, g) == reference_weierstrass.resultant(f, g)
+            assert resultant(g, f) == reference_weierstrass.resultant(g, f)
+
+
+def _dehomogenized(form: BinaryForm, var) -> sympy.Expr:
+    """f(var, 1) as a sympy expression."""
+    return sum(sympy.Rational(c) * var ** (form.degree - i) for i, c in enumerate(form.coeffs))
+
+
+def _singular_by_jacobian(surface: WeierstrassSurface) -> bool:
+    """Singularity of w^2 = z^3 + a z + b from the Jacobian criterion.
+
+    In the chart y = 1 a singular point has w = 0 and is a common zero of
+    z^3 + a(u)z + b(u), 3z^2 + a(u) and a'(u)z + b'(u): there is one exactly
+    when their Groebner basis is not [1].  The chart x = 1 adds the points
+    over y = 0, where the same three polynomials read z^3 + a0 z + b0,
+    3z^2 + a0 and a1 z + b1 (a0, a1 the coefficients of x^4 and x^3 y).
+    """
+    u, z = sympy.symbols("u z")
+    a, b = _dehomogenized(surface.a, u), _dehomogenized(surface.b, u)
+    finite = [z**3 + a * z + b, 3 * z**2 + a, sympy.diff(a, u) * z + sympy.diff(b, u)]
+    if sympy.groebner(finite, u, z, order="grevlex").exprs != [1]:
+        return True
+    a0, a1 = (sympy.Rational(c) for c in surface.a.coeffs[:2])
+    b0, b1 = (sympy.Rational(c) for c in surface.b.coeffs[:2])
+    at_infinity = sympy.gcd_list([z**3 + a0 * z + b0, 3 * z**2 + a0, a1 * z + b1], z)
+    return sympy.degree(at_infinity, z) > 0
+
+
+class TestSmoothnessOracle:
+    def test_jacobian_criterion(self):
+        rng = random.Random(2026)
+        kinds = ("generic", "shared-root", "rational-node", "infinity", "a-zero", "double", "small")
+        singular = 0
+        for k in range(120):
+            surface = _random_surface(rng, kinds[k % len(kinds)])
+            expected = not _singular_by_jacobian(surface)
+            assert is_smooth(surface) == expected, surface
+            singular += not expected
+        assert singular >= 30
+
+
+class TestLargeCoefficients:
+    """A dense surface with 30-digit rational coefficients, checked against sympy."""
+
+    @staticmethod
+    def _form(rng: random.Random, degree: int) -> BinaryForm:
+        def digits30() -> int:
+            return rng.randint(10**29, 10**30 - 1)
+
+        return BinaryForm(
+            degree,
+            [Fraction(rng.choice((-1, 1)) * digits30(), digits30()) for _ in range(degree + 1)],
+        )
+
+    @staticmethod
+    def _expected_facts(surface: WeierstrassSurface) -> tuple[bool, bool]:
+        """(smooth, cusp) from sympy's gcd(Delta, Delta') and resultant(a, b)."""
+        a, b = _dehomogenized(surface.a, _U), _dehomogenized(surface.b, _U)
+        delta = sympy.Poly(4 * a**3 + 27 * b**2, _U)
+        # dense forms: no root at [1:0], so the affine polynomials say everything
+        assert delta.degree() == 12 and sympy.degree(a, _U) == 4 and sympy.degree(b, _U) == 6
+        multiple = sympy.gcd(delta, delta.diff(_U))
+        if multiple.degree() == 0:
+            smooth = True
+        else:
+            r = sympy.quo(multiple, sympy.gcd(multiple, multiple.diff(_U)))
+            b_poly = sympy.Poly(b, _U)
+            smooth = (
+                sympy.rem(delta, r**2).is_zero
+                and sympy.gcd(sympy.quo(delta, r**2), r).degree() == 0
+                and sympy.rem(sympy.Poly(a, _U), r).is_zero
+                and sympy.rem(b_poly, r).is_zero
+                and sympy.gcd(sympy.quo(b_poly, r), r).degree() == 0
+            )
+        cusp = sympy.resultant(a, b, _U) == 0
+        return smooth, cusp
+
+    def test_dense_surface(self):
+        rng = random.Random(30)
+        surface = WeierstrassSurface(a=self._form(rng, 4), b=self._form(rng, 6))
+        smooth, cusp = self._expected_facts(surface)
+        assert is_smooth(surface) == smooth
+        assert smooth and has_cuspidal_member(surface) == cusp
+
+    def test_shared_linear_factor_gives_a_cusp(self):
+        rng = random.Random(31)
+        line = self._form(rng, 1)
+        surface = WeierstrassSurface(a=line * self._form(rng, 3), b=line * self._form(rng, 5))
+        smooth, cusp = self._expected_facts(surface)
+        assert smooth and cusp
+        assert is_smooth(surface)
+        assert has_cuspidal_member(surface)
