@@ -11,7 +11,6 @@ exactly its generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +23,7 @@ from .picard import (
     enumerate_minus_one_classes,
     format_class,
 )
+from .rationals import clear
 
 P2 = "P2"
 F1 = "F1"
@@ -72,12 +72,6 @@ def _generator_rows() -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(curve.coeffs[i] for curve in curves) for i in range(9))
 
 
-def _cleared(v: PicardClass) -> tuple[int, tuple[int, ...]]:
-    """(d, d*v) with d the least common denominator; d*v keeps every pairing sign."""
-    denom = math.lcm(*(c.denominator for c in v.coeffs))
-    return denom, tuple(c.numerator * (denom // c.denominator) for c in v.coeffs)
-
-
 def _pairings(w: tuple[int, ...]):
     """w.E for the 240 (-1)-classes E in enumeration order, for integral w."""
     head, tail = w[0], w[1:]
@@ -89,7 +83,7 @@ def _pairings(w: tuple[int, ...]):
 
 def is_ample(v: PicardClass) -> bool:
     """True iff v has positive square and pairs positively with -K and all (-1)-classes."""
-    w = _cleared(v)[1]
+    w = clear(v.coeffs)[1]
     if w[0] * w[0] - sum(x * x for x in w[1:]) <= 0:
         return False
     if 3 * w[0] + sum(w[1:]) <= 0:  # pairing with -K = (3, -1, ..., -1)
@@ -169,7 +163,7 @@ def _boundary_split(
     """
     curves = enumerate_minus_one_classes().members
     rows = _curve_rows_int()
-    denom, w = _cleared(boundary)
+    denom, w = clear(boundary.coeffs)
     negative = [(j, -p) for j, p in enumerate(_pairings(w)) if p < 0]
     residual = list(w)
     for j, coeff in negative:
@@ -224,7 +218,7 @@ def _extend_to_disjoint_eight(
 
     candidates = (1 << len(curves)) - 1
     for e in chosen:
-        candidates &= _orthogonal_mask(_cleared(e)[1])
+        candidates &= _orthogonal_mask(clear(e.coeffs)[1])
     found = rec([], candidates, 0)
     return None if found is None else list(chosen) + [curves[j] for j in found]
 
@@ -240,7 +234,7 @@ def _complement_is_even(seven: list[PicardClass]) -> bool:
     primitive, so L is even exactly when every coordinate of w is even.
     """
     minus_one = enumerate_minus_one_classes()
-    rows = [_cleared(e)[1] for e in seven]
+    rows = [clear(e.coeffs)[1] for e in seven]
     if len(seven) != 7 or not all(e in minus_one for e in seven) or any(
         u[0] * v[0] != sum(a * b for a, b in zip(u[1:], v[1:]))
         for i, u in enumerate(rows)
@@ -323,7 +317,7 @@ def _classify_orthogonal(
             "seven-generator face with odd complement should extend to eight"
         )
     # pairing(c, e) = c . (e0, -e1, ..., -e8) on the integer rows
-    signed = [(w[0],) + tuple(-x for x in w[1:]) for w in (_cleared(e)[1] for e in face_list)]
+    signed = [(w[0],) + tuple(-x for x in w[1:]) for w in (clear(e.coeffs)[1] for e in face_list)]
     conic = next(
         (
             c

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .rationals import clear
+
 LE = "<="
 LT = "<"
 EQ = "="
@@ -125,9 +127,7 @@ def _initial_rows(system: LinearSystem) -> list[_Row]:
     count = len(system.constraints)
     rows: list[_Row] = []
     for index, (coeffs, rel, rhs) in enumerate(system.constraints):
-        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-        scaled_rhs = rhs.numerator * (scale // rhs.denominator)
+        scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
         unit = [0] * count
         unit[index] = scale
         origin = frozenset([index])

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import clear
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -77,12 +79,6 @@ class _CostRow:
         g = math.gcd(den, *new)
         self.row = [a // g for a in new]
         self.den = den // g
-
-
-def _cleared(values) -> tuple[int, list[int]]:
-    """(L, L*values) with L > 0 the least common denominator of the values."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -158,7 +154,7 @@ def solve(problem: LPProblem) -> LPResult:
 
     # Split free variables into positive and negative parts.
     col_of: list[tuple[int, int]] = []  # (positive column, negative column or -1)
-    _, objective = _cleared(problem.objective)  # a positive multiple of the costs
+    _, objective = clear(problem.objective)  # a positive multiple of the costs
     cost: list[int] = []
     columns = 0
     for j in range(n):
@@ -180,7 +176,7 @@ def solve(problem: LPProblem) -> LPResult:
     row_sign: list[int] = []
     tableau: list[list[int]] = []
     for i in range(m):
-        scale, int_row = _cleared((*problem.rows[i], problem.rhs[i]))
+        scale, int_row = clear((*problem.rows[i], problem.rhs[i]))
         scales.append(scale)
         int_rows.append(int_row)
         sign = -1 if int_row[-1] < 0 else 1

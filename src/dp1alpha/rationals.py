@@ -1,4 +1,4 @@
-"""Shared exact-rational helpers: text grammar and perfect-square roots."""
+"""Shared exact-rational helpers: text grammar, common denominators and perfect-square roots."""
 
 from __future__ import annotations
 
@@ -37,6 +37,15 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def clear(values) -> tuple[int, tuple[int, ...]]:
+    """(d, d*values): d > 0 the least common denominator of ints or Fractions.
+
+    d*values keeps every sign and ratio of the values.
+    """
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, tuple(v.numerator * (denom // v.denominator) for v in values)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -2,25 +2,26 @@
 
 Surfaces are anticanonically embedded in P(1,1,2,3) as w^2 = z^3 + a(x,y)z
 + b(x,y) with deg a = 4 and deg b = 6.  This module decides smoothness of
-the total space, detects cuspidal members of the anticanonical pencil, and
-handles the section pairs C / C-tilde cut out by z = q(x,y), w = +-g(x,y).
-All computations are exact, never numerical root finding.  Forms carry
-rational coefficients, but the root questions run on integers: a form is
-scaled by the lcm of its denominators, polynomials are kept primitive
-(content divided out, positive leading coefficient), gcds come from the
-primitive remainder sequence, quotients by primitive divisors are exact in
-Z[x], the discriminant is one integer multiple of 4a^3 + 27b^2, and the
-resultant is a fraction-free (Bareiss) Sylvester determinant.
+the total space by Kodaira's criterion (every singular member of the pencil
+is of type I1 or II, read off gcd(Delta, Delta')), detects cuspidal members,
+and handles the section pairs C / C-tilde cut out by z = q(x,y),
+w = +-g(x,y).  All computations are exact.  Forms carry rational
+coefficients, but the root questions run on integers: `rationals.clear`
+scales a form to integers, polynomials are kept primitive (content divided
+out, positive leading coefficient), gcds come from the primitive remainder
+sequence, quotients by primitive divisors are exact in Z[x], the
+discriminant is one integer multiple of 4a^3 + 27b^2, and the resultant is a
+fraction-free (Bareiss) Sylvester determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
-from .rationals import format_rational, parse_rational, rational_sqrt
+from .rationals import clear, format_rational, parse_rational, rational_sqrt
 
 
 class NotASectionError(Exception):
@@ -46,12 +47,6 @@ def _trim(p: tuple) -> tuple:
 
 def _deg(p: tuple) -> int:
     return len(p) - 1  # -1 for the zero polynomial
-
-
-def _clear(coeffs: tuple) -> tuple[tuple[int, ...], int]:
-    """Integers n_i and the least d > 0 with coeffs[i] = n_i / d (ints or rationals)."""
-    denom = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (denom // c.denominator) for c in coeffs), denom
 
 
 def _primitive(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,7 +117,7 @@ def _derivative(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _squarefree(p: tuple) -> tuple[int, ...]:
     """Primitive squarefree part of p; p may have rational coefficients."""
-    p = _primitive(_clear(p)[0])
+    p = _primitive(clear(p)[1])
     if _deg(p) < 1:
         return p
     return _divmod(p, _gcd(p, _derivative(p)))[0]  # exact, and primitive
@@ -143,7 +138,7 @@ def _finite(coeffs: tuple) -> tuple[tuple[int, ...], int]:
     coeffs are the coefficients (ints or rationals) of a nonzero form, x^degree first.
     """
     m_inf = next(i for i, c in enumerate(coeffs) if c)
-    return _primitive(_clear(coeffs[m_inf:][::-1])[0]), m_inf
+    return _primitive(clear(coeffs[m_inf:][::-1])[1]), m_inf
 
 
 def _determinant(rows: list[list[int]]) -> int:
@@ -202,12 +197,7 @@ class BinaryForm:
             raise ValueError("the zero form has no root structure")
         m_inf = next(i for i, c in enumerate(self.coeffs) if c != 0)
         # coeffs[i] multiplies x^(d-i); as a polynomial in u that is u^(d-i)
-        top = self.degree - m_inf
-        poly = [Fraction(0)] * (top + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                poly[self.degree - i] = c
-        return _trim(tuple(poly)), m_inf
+        return self.coeffs[m_inf:][::-1], m_inf
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
@@ -287,13 +277,13 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
 
     Zero exactly when the forms share a projective root, the root [1:0]
     included (degenerate leading coefficients shrink the determinant).
-    Each form is scaled to integers by the lcm of its denominators; the
+    Each form is scaled to integers by its least common denominator; the
     Sylvester determinant is homogeneous of degree deg g in f's row and
     deg f in g's, so those powers of the scales divide back out.
     """
     m, n = f.degree, g.degree
-    f_int, f_denom = _clear(f.coeffs)
-    g_int, g_denom = _clear(g.coeffs)
+    f_denom, f_int = clear(f.coeffs)
+    g_denom, g_int = clear(g.coeffs)
     rows = [[0] * r + list(f_int) + [0] * (n - 1 - r) for r in range(n)]
     rows += [[0] * r + list(g_int) + [0] * (m - 1 - r) for r in range(m)]
     return Fraction(_determinant(rows), f_denom**n * g_denom**m)
@@ -314,8 +304,8 @@ def _discriminant(a: BinaryForm, b: BinaryForm) -> tuple[tuple[int, ...], int]:
     D = 4 d_b^2 A^3 + 27 d_a^3 B^2 over d = d_a^3 d_b^2: a positive multiple
     of the discriminant, so it has the same roots with the same multiplicities.
     """
-    a_int, a_denom = _clear(a.coeffs)
-    b_int, b_denom = _clear(b.coeffs)
+    a_denom, a_int = clear(a.coeffs)
+    b_denom, b_int = clear(b.coeffs)
     a_cubed = _mul(_mul(a_int, a_int), a_int)
     b_squared = _mul(b_int, b_int)
     s, t = 4 * b_denom**2, 27 * a_denom**3
@@ -344,58 +334,36 @@ class WeierstrassSurface:
 
 
 def is_smooth(surface: WeierstrassSurface) -> bool:
-    """Smoothness of the total space.
+    """Smoothness of the total space, by Kodaira's I1/II criterion.
 
-    Every multiple root of the discriminant must be mild: writing R for the
-    product of the distinct multiple-root factors, require ord(Delta) = 2,
-    ord(b) = 1, and ord(a) >= 1 along R -- as form divisibilities:
-    R^2 | Delta with Delta/R^2 coprime to R, R | a, R | b, b/R coprime to R.
-    Delta is read through the integer multiple of `_discriminant`, and every
-    polynomial below is primitive, so each quotient is exact in Z[x].
+    The total space is smooth exactly when every singular member of the
+    pencil has Kodaira type I1 or II (Tate 1975; Miranda 1989).  At a root r
+    of Delta, ord_r Delta = 1 is I1, ord_r Delta = 2 is II if a(r) = 0 and
+    the node I2 if not, and every type with ord_r Delta >= 3 is singular.
+    G = gcd(Delta, Delta') is the product of (u - r)^(ord_r Delta - 1) over
+    the multiple roots, so smooth means: G is squarefree and [1:0] is at most
+    a double root (no root of multiplicity 3 or more), and G | a, with a
+    vanishing at [1:0] when that is a double root (a = 0 passes both).
     """
     d_poly, d_inf = _finite(_discriminant(surface.a, surface.b)[0])
-
-    # distinct multiple-root factors of Delta: finite ones from gcd(F, F'),
-    # plus the root [1:0] exactly when its multiplicity is >= 2
-    r_poly = _squarefree(_gcd(d_poly, _derivative(d_poly)))
-    r_inf = 1 if d_inf >= 2 else 0
-    if _deg(r_poly) == 0 and r_inf == 0:
-        return True  # squarefree discriminant: only nodal members
-
-    r_squared = _mul(r_poly, r_poly)
-    if not _divides(r_squared, d_poly) or 2 * r_inf > d_inf:
+    g_poly = _gcd(d_poly, _derivative(d_poly))
+    if d_inf > 2 or _deg(_gcd(g_poly, _derivative(g_poly))) > 0:
         return False
-    cofactor = _divmod(d_poly, r_squared)[0]
-    if _deg(_gcd(cofactor, r_poly)) > 0 or min(d_inf - 2 * r_inf, r_inf) > 0:
-        return False
-
-    if not surface.a.is_zero():  # a identically zero is divisible by anything
-        a_poly, a_inf = _finite(surface.a.coeffs)
-        if not _divides(r_poly, a_poly) or r_inf > a_inf:
-            return False
-
-    if surface.b.is_zero():
-        return False  # b = 0 forces ord(b) = infinity at every root of R
-    b_poly, b_inf = _finite(surface.b.coeffs)
-    if not _divides(r_poly, b_poly) or r_inf > b_inf:
-        return False
-    b_cofactor = _divmod(b_poly, r_poly)[0]
-    if _deg(_gcd(b_cofactor, r_poly)) > 0 or min(b_inf - r_inf, r_inf) > 0:
-        return False
-    return True
+    if surface.a.is_zero():
+        return True
+    a_poly, a_inf = _finite(surface.a.coeffs)
+    return _divides(g_poly, a_poly) and (d_inf < 2 or a_inf > 0)
 
 
 def has_cuspidal_member(surface: WeierstrassSurface) -> bool:
     """Whether some member of the anticanonical pencil has a cusp.
 
     A member degenerates to a cusp where a and b vanish together (the fiber
-    becomes w^2 = z^3).  For a = 0 identically, every root of b is such a
-    point, so the answer is always True there.
+    becomes w^2 = z^3), so exactly when resultant(a, b) = 0; for a = 0
+    identically that is every root of b, and the resultant is 0.
     """
     if not is_smooth(surface):
         raise ValueError("cusp detection is defined for smooth surfaces only")
-    if surface.a.is_zero():
-        return True
     return resultant(surface.a, surface.b) == 0
 
 

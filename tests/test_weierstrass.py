@@ -517,6 +517,70 @@ class TestSmoothnessOracle:
         assert singular >= 30
 
 
+def _form_in_u(*coeffs) -> BinaryForm:
+    """The form whose dehomogenization f(u, 1) is sum(coeffs[k] * u^k)."""
+    return BinaryForm(len(coeffs) - 1, coeffs[::-1])
+
+
+def _order_at_zero(form: BinaryForm) -> int:
+    poly, _ = form.finite_part()
+    return next(k for k, c in enumerate(poly) if c)
+
+
+# Kodaira type of the member over u = 0: (ord a, ord b, ord Delta) there, the
+# coefficients of a(u) and b(u) from u^0 up, and whether the total space is
+# smooth.  Every other root of Delta is simple, so that member decides.
+KODAIRA_FIXTURES = {
+    "I1": ((0, 0, 1), (-3, -1, 0, 0, -1), (2, 0, 0, 0, 0, 0, -1), True),
+    "I2": ((0, 0, 2), (-3, 0, 1, 0, 2), (2, 0, 0, 0, 0, 0, 1), False),
+    "II": ((1, 1, 2), (0, -1, 0, 0, 1), (0, 2, 0, 0, 0, 0, 1), True),
+    "III": ((1, 2, 3), (0, -1, 0, 0, 2), (0, 0, 2, 0, 0, 0, 2), False),
+    "IV": ((2, 2, 4), (0, 0, 2, 0, 1), (0, 0, 2, 0, 0, 0, 1), False),
+}
+
+
+def _at(surface: WeierstrassSurface, where: str) -> WeierstrassSurface:
+    """The surface itself, or with x and y swapped to move u = 0 to [1:0]."""
+    if where == "u=0":
+        return surface
+    swap = (0, 1, 1, 0)
+    return WeierstrassSurface(a=surface.a.substituted(*swap), b=surface.b.substituted(*swap))
+
+
+def _assert_smoothness(surface: WeierstrassSurface, smooth: bool) -> None:
+    assert is_smooth(surface) == smooth
+    assert reference_weierstrass.is_smooth(surface) == smooth
+    assert _singular_by_jacobian(surface) == (not smooth)
+
+
+class TestKodairaFixtures:
+    """Smooth exactly for the fibre types I1 and II, wherever the fibre sits."""
+
+    @pytest.mark.parametrize("where", ["u=0", "[1:0]"])
+    @pytest.mark.parametrize("kind", sorted(KODAIRA_FIXTURES))
+    def test_fibre_type(self, kind, where):
+        orders, a, b, smooth = KODAIRA_FIXTURES[kind]
+        surface = WeierstrassSurface(a=_form_in_u(*a), b=_form_in_u(*b))
+        delta = surface.discriminant()
+        assert tuple(_order_at_zero(f) for f in (surface.a, surface.b, delta)) == orders
+        poly, m_inf = delta.finite_part()
+        assert m_inf == 0
+        rest = sympy.Poly([sympy.Rational(c) for c in poly[orders[2] :][::-1]], _U)
+        assert sympy.gcd(rest, rest.diff(_U)).degree() == 0
+        _assert_smoothness(_at(surface, where), smooth)
+
+    @pytest.mark.parametrize("where", ["u=0", "[1:0]"])
+    @pytest.mark.parametrize(
+        "b, smooth",
+        [((1, 0, 0, 0, 0, 0, 1), True), ((0, 0, 1, 0, 0, 0, 1), False)],
+        ids=["b-squarefree", "b-square-factor"],
+    )
+    def test_zero_a(self, b, smooth, where):
+        # Delta = 27 b^2: a simple root of b is type II, a double root type IV
+        surface = WeierstrassSurface(a=ZERO4, b=_form_in_u(*b))
+        _assert_smoothness(_at(surface, where), smooth)
+
+
 class TestLargeCoefficients:
     """A dense surface with 30-digit rational coefficients, checked against sympy."""
 
