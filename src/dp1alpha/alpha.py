@@ -83,20 +83,8 @@ def alpha_conjecture(profile: PolarizationProfile) -> Fraction:
     s = Fraction(profile.s_A)
     d = Fraction(profile.delta)
     one = Fraction(1)
-    if profile.type_tag == P2:
-        a1, a2, a3, a4 = (Fraction(a[i]) for i in range(4))
-        if s > 4:
-            value = one / (2 + a1)
-        elif s > 1:
-            value = max(
-                Fraction(2) / (2 + 2 * a1 + s - a2 - a3),
-                Fraction(4) / (3 + 4 * a1 + 2 * s - a2 - a3 - a4),
-                Fraction(3) / (2 + 3 * a1 + s),
-            )
-        else:
-            value = min(Fraction(2) / (1 + 2 * a1 + s), one)
-    elif profile.type_tag == F1:
-        a1, a2, a3, a4 = (Fraction(a[i]) for i in range(4))
+    a1, a2, a3, a4 = (Fraction(a[i]) for i in range(4))
+    if profile.type_tag in (P2, F1):  # P2 is the F1 formula at delta = 0
         if s > 4:
             value = one / (2 + a1 + d)
         elif s > 1:
@@ -108,7 +96,6 @@ def alpha_conjecture(profile: PolarizationProfile) -> Fraction:
         else:
             value = min(Fraction(2) / (1 + 2 * a1 + s + 2 * d), one)
     elif profile.type_tag == P1XP1:
-        a1, a2, a3, a4 = (Fraction(a[i]) for i in range(4))
         a7 = Fraction(a[6])
         if s > 4:
             value = one / (2 + a1 + d)

@@ -19,6 +19,7 @@ from .linprog import OPTIMAL, LPProblem, LPResult, solve
 from .picard import (
     PicardClass,
     canonical_class,
+    dot,
     enumerate_conic_classes,
     enumerate_minus_one_classes,
     format_class,
@@ -40,8 +41,9 @@ class PolarizationProfile:
 
     ``K + mu*A = sum(a[i] * basis[i]) + delta * conic`` holds exactly, with
     the basis classes pairwise orthogonal (and orthogonal to the conic when
-    one is present).  ``a`` is sorted descending, has length 8 for P2 and 7
-    otherwise, and ``s_A`` is the sum of all but the leading coefficient.
+    one is present).  P2 has delta = 0 and no conic.  ``a`` is sorted
+    descending, has length 8 for P2 and 7 otherwise, and ``s_A`` is the sum
+    of all but the leading coefficient.
     """
 
     type_tag: str
@@ -54,15 +56,7 @@ class PolarizationProfile:
     conic: PicardClass | None
 
 
-@lru_cache(maxsize=None)
-def _curve_rows_int() -> tuple[tuple[int, ...], ...]:
-    members = enumerate_minus_one_classes().members
-    return tuple(tuple(int(c) for c in curve.coeffs) for curve in members)
-
-
-@lru_cache(maxsize=None)
-def _conic_rows_int() -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(c) for c in conic.coeffs) for conic in enumerate_conic_classes())
+_K_ROW = clear(canonical_class().coeffs)[1]
 
 
 @lru_cache(maxsize=None)
@@ -74,19 +68,13 @@ def _generator_rows() -> tuple[tuple[Fraction, ...], ...]:
 
 def _pairings(w: tuple[int, ...]):
     """w.E for the 240 (-1)-classes E in enumeration order, for integral w."""
-    head, tail = w[0], w[1:]
-    return (
-        head * row[0] - sum(a * b for a, b in zip(tail, row[1:]))
-        for row in _curve_rows_int()
-    )
+    return (dot(w, row) for row in enumerate_minus_one_classes().rows)
 
 
 def is_ample(v: PicardClass) -> bool:
     """True iff v has positive square and pairs positively with -K and all (-1)-classes."""
     w = clear(v.coeffs)[1]
-    if w[0] * w[0] - sum(x * x for x in w[1:]) <= 0:
-        return False
-    if 3 * w[0] + sum(w[1:]) <= 0:  # pairing with -K = (3, -1, ..., -1)
+    if dot(w, w) <= 0 or dot(w, _K_ROW) >= 0:
         return False
     return all(p > 0 for p in _pairings(w))
 
@@ -161,25 +149,25 @@ def _boundary_split(
       seven reducible fibres.  C.D = 0 with C nef keeps every other
       generator out, and C = p + q on each fibre puts both p and q in.
     """
-    curves = enumerate_minus_one_classes().members
-    rows = _curve_rows_int()
+    curves = enumerate_minus_one_classes()
+    rows = curves.rows
     denom, w = clear(boundary.coeffs)
     negative = [(j, -p) for j, p in enumerate(_pairings(w)) if p < 0]
     residual = list(w)
     for j, coeff in negative:
         residual = [r - coeff * x for r, x in zip(residual, rows[j])]
-    split = [(Fraction(coeff, denom), curves[j]) for j, coeff in negative]
+    split = [(Fraction(coeff, denom), curves.members[j]) for j, coeff in negative]
     if not any(residual):
         return split, Fraction(0), None, frozenset(e for _, e in split)
 
-    twice_delta = 3 * residual[0] + sum(residual[1:])  # -R.K = 2*delta*denom
+    twice_delta = -dot(residual, _K_ROW)  # -R.K = 2*delta*denom
     if twice_delta <= 0 or any(2 * r % twice_delta for r in residual):
         raise UnclassifiableError(
             f"residual of {format_class(boundary)} is not a positive multiple of "
             "an integral class"
         )
     conic = tuple(2 * r // twice_delta for r in residual)
-    if conic[0] * conic[0] != sum(x * x for x in conic[1:]):
+    if dot(conic, conic):
         raise UnclassifiableError("residual class has nonzero square")
     against_conic = list(_pairings(conic))
     if min(against_conic) < 0:
@@ -200,8 +188,8 @@ def _extend_to_disjoint_eight(
     chosen: list[PicardClass],
 ) -> list[PicardClass] | None:
     """Extend pairwise-orthogonal (-1)-classes to 8, lex-smallest, by backtracking."""
-    curves = enumerate_minus_one_classes().members
-    rows = _curve_rows_int()
+    curves = enumerate_minus_one_classes()
+    rows = curves.rows
 
     def rec(current: list[int], candidates: int, start: int) -> list[int] | None:
         if len(chosen) + len(current) == 8:
@@ -220,7 +208,7 @@ def _extend_to_disjoint_eight(
     for e in chosen:
         candidates &= _orthogonal_mask(clear(e.coeffs)[1])
     found = rec([], candidates, 0)
-    return None if found is None else list(chosen) + [curves[j] for j in found]
+    return None if found is None else list(chosen) + [curves.members[j] for j in found]
 
 
 def _complement_is_even(seven: list[PicardClass]) -> bool:
@@ -236,13 +224,21 @@ def _complement_is_even(seven: list[PicardClass]) -> bool:
     minus_one = enumerate_minus_one_classes()
     rows = [clear(e.coeffs)[1] for e in seven]
     if len(seven) != 7 or not all(e in minus_one for e in seven) or any(
-        u[0] * v[0] != sum(a * b for a, b in zip(u[1:], v[1:]))
-        for i, u in enumerate(rows)
-        for v in rows[i + 1 :]
+        dot(u, v) for i, u in enumerate(rows) for v in rows[i + 1 :]
     ):
         raise UnclassifiableError("parity test needs seven disjoint (-1)-classes")
-    w = [int(k) - sum(col) for k, col in zip(canonical_class().coeffs, zip(*rows))]
+    w = [k - sum(col) for k, col in zip(_K_ROW, zip(*rows))]
     return all(c % 2 == 0 for c in w)
+
+
+def _orthogonal_conic(seven: list[PicardClass]) -> PicardClass:
+    """The first conic class, in enumeration order, orthogonal to all seven classes."""
+    conics = enumerate_conic_classes()
+    rows = [clear(e.coeffs)[1] for e in seven]
+    for conic, row in zip(conics, conics.rows):
+        if not any(dot(row, w) for w in rows):
+            return conic
+    raise UnclassifiableError("no conic class orthogonal to the seven generators")
 
 
 def _profile(
@@ -288,72 +284,45 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
 
 
 def classify(A: PicardClass) -> PolarizationProfile:
-    """Classify an ample class as P2, F1, or P1xP1 with its coefficient data."""
+    """Classify an ample class as P2, F1, or P1xP1 with its coefficient data.
+
+    The boundary split gives D = K + mu*A = sum(a_E * E) + delta*C.  With a
+    conic C, N holds at most one component p or q = C - p of each of the
+    seven reducible fibres (D.p + D.q = D.C = 0); a fibre without one adds
+    its lex-smaller component with coefficient 0.  Without C, a face that
+    extends to eight disjoint classes is P2, padded with the extension, and
+    a seven-class face takes the first conic orthogonal to it.  The other
+    shapes are F1 when a section (a (-1)-class orthogonal to the seven)
+    exists and P1xP1 when none does; the parity of their complement must
+    say the same.
+    """
     if not is_ample(A):
         raise ValueError("classify requires an ample class")
     mu = mu_threshold(A)
-    negative, delta, conic, face = _boundary_split(canonical_class() + mu * A)
-    if conic is None:
-        profile = _classify_orthogonal(mu, negative, face)
+    chosen, delta, conic, face = _boundary_split(canonical_class() + mu * A)
+    if conic is not None:
+        if len(face) != 14:
+            raise UnclassifiableError(
+                f"fiber class has {len(face)} reducible-member components, expected 14"
+            )
+        in_negative = {e for _, e in chosen}
+        fibres = ((p, conic - p) for p in sorted(face))
+        chosen = chosen + [
+            (Fraction(0), p) for p, q in fibres if p < q and not in_negative & {p, q}
+        ]
+    selected = [e for _, e in chosen]
+    extended = _extend_to_disjoint_eight(selected) if conic is None else None
+    if extended is not None:
+        padded = chosen + [(Fraction(0), e) for e in extended[len(selected) :]]
+        profile = _profile(P2, mu, padded, delta, face, None)
     else:
-        profile = _classify_conic_bundle(mu, negative, delta, conic, face)
+        even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
+        if conic is None:
+            has_section, conic = False, _orthogonal_conic(selected)
+        else:
+            has_section = _extend_to_disjoint_eight(selected) is not None
+        if has_section == even:
+            raise UnclassifiableError("section search disagrees with the lattice parity test")
+        profile = _profile(F1 if has_section else P1XP1, mu, chosen, delta, face, conic)
     _validate_profile(profile, A)
     return profile
-
-
-def _classify_orthogonal(
-    mu: Fraction,
-    coefficients: list[tuple[Fraction, PicardClass]],
-    face: frozenset[PicardClass],
-) -> PolarizationProfile:
-    face_list = [e for _, e in coefficients]
-    extended = _extend_to_disjoint_eight(face_list)
-    if extended is not None:
-        padded = coefficients + [(Fraction(0), e) for e in extended if e not in face]
-        return _profile(P2, mu, padded, Fraction(0), face, None)
-
-    if not _complement_is_even(face_list):
-        raise UnclassifiableError(
-            "seven-generator face with odd complement should extend to eight"
-        )
-    # pairing(c, e) = c . (e0, -e1, ..., -e8) on the integer rows
-    signed = [(w[0],) + tuple(-x for x in w[1:]) for w in (clear(e.coeffs)[1] for e in face_list)]
-    conic = next(
-        (
-            c
-            for c, row in zip(enumerate_conic_classes(), _conic_rows_int())
-            if all(sum(a * b for a, b in zip(row, w)) == 0 for w in signed)
-        ),
-        None,
-    )
-    if conic is None:
-        raise UnclassifiableError("no conic class orthogonal to the seven generators")
-    return _profile(P1XP1, mu, coefficients, Fraction(0), face, conic)
-
-
-def _classify_conic_bundle(
-    mu: Fraction,
-    negative: list[tuple[Fraction, PicardClass]],
-    delta: Fraction,
-    conic: PicardClass,
-    face: frozenset[PicardClass],
-) -> PolarizationProfile:
-    if len(face) != 14:
-        raise UnclassifiableError(
-            f"fiber class has {len(face)} reducible-member components, expected 14"
-        )
-    # N holds at most one component p or q = conic - p of each reducible fibre
-    # (D.p + D.q = D.conic = 0); a fibre without one contributes the
-    # lex-smaller component with coefficient 0
-    in_negative = {e for _, e in negative}
-    fibres = ((p, conic - p) for p in sorted(face))
-    chosen = negative + [
-        (Fraction(0), p) for p, q in fibres if p < q and not in_negative & {p, q}
-    ]
-    selected = [e for _, e in chosen]
-    even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
-    # a section is a (-1)-class orthogonal to all seven chosen components
-    has_section = _extend_to_disjoint_eight(selected) is not None
-    if has_section == even:
-        raise UnclassifiableError("section search disagrees with the lattice parity test")
-    return _profile(F1 if has_section else P1XP1, mu, chosen, delta, face, conic)

@@ -8,17 +8,15 @@ Everything here is immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rationals import format_rational, parse_rational
 
 RANK = 9
-
-# Signature of the intersection form: +1 on the H coordinate, -1 on each e_i.
-_SIGNS = (1,) + (-1,) * 8
 
 
 class PicardClass:
@@ -73,12 +71,14 @@ class PicardClass:
         return f"PicardClass({format_class(self)!r})"
 
 
+def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
+    """The intersection form u0*v0 - sum(ui*vi) on coordinate tuples (ints or Fractions)."""
+    return u[0] * v[0] - sum(map(operator.mul, u[1:], v[1:]))
+
+
 def pairing(u: PicardClass, v: PicardClass) -> Fraction:
-    """Intersection pairing u.v = u0*v0 - sum(ui*vi), signature (1, 8)."""
-    total = Fraction(0)
-    for s, a, b in zip(_SIGNS, u.coeffs, v.coeffs):
-        total += s * a * b
-    return total
+    """Intersection pairing u.v, signature (1, 8)."""
+    return dot(u.coeffs, v.coeffs)
 
 
 def canonical_class() -> PicardClass:
@@ -167,6 +167,11 @@ class CurveClassSet:
     @cached_property
     def _member_set(self) -> frozenset[PicardClass]:
         return frozenset(self.members)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The members' integer coordinates, in member order."""
+        return tuple(tuple(int(c) for c in v.coeffs) for v in self.members)
 
     def __contains__(self, v: PicardClass) -> bool:
         return v in self._member_set

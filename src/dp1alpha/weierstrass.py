@@ -216,12 +216,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return BinaryForm(self.degree + other.degree, out)
+            return BinaryForm(self.degree + other.degree, _mul(self.coeffs, other.coeffs))
         scalar = Fraction(other)
         return BinaryForm(self.degree, (scalar * c for c in self.coeffs))
 
@@ -398,40 +393,30 @@ def section_pair(
 
 
 def _form_square_root(form: BinaryForm) -> BinaryForm | None:
-    """A rational form g with g^2 = form, or None; g normalized to positive lead."""
+    """A rational form g with g^2 = form, or None; g normalized to positive lead.
+
+    With the first nonzero coefficient of the form at index 2t, g starts at
+    index t with g_t = sqrt(c_2t) > 0, and the coefficient c_(t+j) of g^2
+    determines g_j once g_t .. g_(j-1) are known.
+    """
     if form.is_zero() or form.degree % 2 != 0:
         return None
-    poly, m_inf = form.finite_part()
-    if m_inf % 2 != 0 or _deg(poly) % 2 != 0:
+    c = form.coeffs
+    first = next(i for i, x in enumerate(c) if x)
+    if first % 2 != 0:
         return None
-    half = _deg(poly) // 2
-    lead = rational_sqrt(poly[-1])
+    t, half = first // 2, form.degree // 2
+    lead = rational_sqrt(c[first])
     if lead is None:
         return None
-    root = [Fraction(0)] * (half + 1)
-    root[half] = lead
-    # peel coefficients from the top: the x^(2*half - k) coefficient of g^2
-    # determines root[half - k] once the higher ones are known
-    for k in range(1, half + 1):
-        acc = Fraction(0)
-        for i in range(half - k + 1, half):
-            j = 2 * half - k - i
-            if half - k < j <= half:
-                acc += root[i] * root[j]
-        target = poly[2 * half - k] if 2 * half - k < len(poly) else Fraction(0)
-        root[half - k] = (target - acc) / (2 * lead)
-    g_poly = _trim(tuple(root))
-    if _mul(g_poly, g_poly) != poly:
+    g = [Fraction(0)] * (half + 1)
+    g[t] = lead
+    for j in range(t + 1, half + 1):
+        acc = sum((g[i] * g[t + j - i] for i in range(t + 1, j)), Fraction(0))
+        g[j] = (c[t + j] - acc) / (2 * lead)
+    if _mul(g, g) != c:
         return None
-    g_degree = form.degree // 2
-    coeffs = [Fraction(0)] * (g_degree + 1)
-    for power, c in enumerate(g_poly):  # coefficient of u^power
-        coeffs[g_degree - power] = c
-    result = BinaryForm(g_degree, coeffs)
-    first = next(c for c in result.coeffs if c != 0)
-    if first < 0:
-        result = -1 * result
-    return result
+    return BinaryForm(half, g)
 
 
 def find_square_sections(surface: WeierstrassSurface) -> list[SectionPair]:

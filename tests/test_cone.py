@@ -182,6 +182,17 @@ def _profile_checks(profile: PolarizationProfile, a_len: int) -> None:
             assert pairing(left, profile.conic) == 0
 
 
+EVEN_SEVEN = [E(i) for i in range(2, 8)] + [H - E(1) - E(8)]
+
+
+def _even_complement_class() -> PicardClass:
+    """-K plus a boundary on seven disjoint classes whose complement is even (P1xP1, delta 0)."""
+    boundary = ZERO
+    for i, e in enumerate(EVEN_SEVEN):
+        boundary = boundary + Fraction(i + 2, 10) * e
+    return boundary - K
+
+
 class TestClassify:
     def test_anticanonical_degenerate(self):
         profile = classify(-K)
@@ -227,18 +238,22 @@ class TestClassify:
         _profile_checks(profile, 7)
 
     def test_even_complement_fixture(self):
-        seven = [E(i) for i in range(2, 8)] + [H - E(1) - E(8)]
-        boundary = ZERO
-        for i, e in enumerate(seven):
-            boundary = boundary + Fraction(i + 2, 10) * e
-        profile = classify(boundary - K)
+        profile = classify(_even_complement_class())
         assert profile.type_tag == P1XP1
         assert profile.mu == 1
         assert profile.delta == 0
         assert sorted(profile.a, reverse=True) == list(profile.a)
-        assert set(profile.basis) == set(seven)
+        assert set(profile.basis) == set(EVEN_SEVEN)
         assert profile.conic == H - E(1)
         _profile_checks(profile, 7)
+
+    def test_orthogonal_type_is_cross_checked(self, monkeypatch):
+        # on the seven-class face without a conic, a parity test that answers
+        # wrongly must make classify fail, not call the face P2 or P1xP1
+        real = cone._complement_is_even
+        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        with pytest.raises(UnclassifiableError):
+            classify(_even_complement_class())
 
     def test_seven_with_odd_complement_is_still_p2(self):
         # {e2..e8} leaves span{H, e1}, which is odd: an eighth disjoint

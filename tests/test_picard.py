@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,7 @@ from dp1alpha.picard import (
     PicardClass,
     bertini,
     canonical_class,
+    dot,
     enumerate_conic_classes,
     enumerate_minus_one_classes,
     exceptional_class,
@@ -160,6 +162,29 @@ class TestLatticeBasics:
         assert e1 in curves
         assert curves.members[curves.index(e1)] == e1
         assert hyperplane_class() not in curves
+
+    def test_rows_are_the_integer_coordinates(self):
+        for family in (enumerate_minus_one_classes(), enumerate_conic_classes()):
+            assert len(family.rows) == len(family)
+            for row, v in zip(family.rows, family.members):
+                assert all(type(x) is int for x in row)
+                assert PicardClass(row) == v
+
+    def test_dot_on_rows_is_pairing_on_members(self):
+        # the signed sum is an independent oracle for the form
+        signs = (1,) + (-1,) * 8
+        minus_one = enumerate_minus_one_classes()
+        for u, row_u in zip(minus_one.members, minus_one.rows):
+            for v, row_v in zip(minus_one.members, minus_one.rows):
+                expected = sum(s * a * b for s, a, b in zip(signs, row_u, row_v))
+                assert dot(row_u, row_v) == pairing(u, v) == expected
+        conics = enumerate_conic_classes()
+        rng = random.Random(12)
+        for _ in range(3000):
+            i, j = rng.randrange(len(conics)), rng.randrange(len(conics))
+            assert dot(conics.rows[i], conics.rows[j]) == pairing(
+                conics.members[i], conics.members[j]
+            )
 
     def test_immutability_and_hash(self):
         h = hyperplane_class()
