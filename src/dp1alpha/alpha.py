@@ -38,7 +38,6 @@ from .weierstrass import (
 )
 
 __all__ = [
-    "AlphaValue",
     "CounterexampleReport",
     "CYLINDER_LOWER",
     "CYLINDER_UPPER",
@@ -54,10 +53,6 @@ __all__ = [
     "kstable_range_contains",
     "upper_bound_witnesses",
 ]
-
-# Alpha invariants are exact positive rationals; no wrapper class is needed.
-AlphaValue = Fraction
-
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)

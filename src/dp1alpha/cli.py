@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .alpha import (
     alpha_conjecture,
@@ -103,9 +103,6 @@ def _profile_json(profile: PolarizationProfile, r: _Renderer) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Handlers: each returns (inputs echo, outputs, exit code)
 # ---------------------------------------------------------------------------
-
-Handler = Callable[[argparse.Namespace, _Renderer], tuple[dict, dict, int]]
-
 
 def _handle_curves_enumerate(args, r):
     if args.kind == "minus-one":

@@ -60,10 +60,9 @@ _K_ROW = clear(canonical_class().coeffs)[1]
 
 
 @lru_cache(maxsize=None)
-def _generator_rows() -> tuple[tuple[Fraction, ...], ...]:
+def _generator_rows() -> tuple[tuple[int, ...], ...]:
     """The 9x240 matrix whose columns are the (-1)-classes, in enumeration order."""
-    curves = enumerate_minus_one_classes().members
-    return tuple(tuple(curve.coeffs[i] for curve in curves) for i in range(9))
+    return tuple(zip(*enumerate_minus_one_classes().rows))
 
 
 def _pairings(w: tuple[int, ...]):

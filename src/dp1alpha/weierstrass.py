@@ -1,17 +1,19 @@
 """Binary forms and degree-one del Pezzo surfaces in Weierstrass shape.
 
 Surfaces are anticanonically embedded in P(1,1,2,3) as w^2 = z^3 + a(x,y)z
-+ b(x,y) with deg a = 4 and deg b = 6.  This module decides smoothness of
-the total space by Kodaira's criterion (every singular member of the pencil
-is of type I1 or II, read off gcd(Delta, Delta')), detects cuspidal members,
-and handles the section pairs C / C-tilde cut out by z = q(x,y),
-w = +-g(x,y).  All computations are exact.  Forms carry rational
-coefficients, but the root questions run on integers: `rationals.clear`
-scales a form to integers, polynomials are kept primitive (content divided
-out, positive leading coefficient), gcds come from the primitive remainder
-sequence, quotients by primitive divisors are exact in Z[x], the
-discriminant is one integer multiple of 4a^3 + 27b^2, and the resultant is a
-fraction-free (Bareiss) Sylvester determinant.
++ b(x,y) with deg a = 4 and deg b = 6.  One pass over G = gcd(Delta, Delta')
+decides two facts by Kodaira's classification of the singular members:
+the total space is smooth exactly when every singular member is of type I1
+or II, and a smooth surface has a cuspidal member exactly when some member
+is of type II, that is, when Delta has a multiple root.  The module also
+handles the section pairs C / C-tilde cut out by z = q(x,y), w = +-g(x,y),
+and keeps `resultant` as a public function.  All computations are exact.
+Forms carry rational coefficients, but the root questions run on integers:
+`rationals.clear` scales a form to integers, polynomials are kept primitive
+(content divided out, positive leading coefficient), gcds come from the
+primitive remainder sequence, quotients by primitive divisors are exact in
+Z[x], the discriminant is one integer multiple of 4a^3 + 27b^2, and the
+resultant is a fraction-free (Bareiss) Sylvester determinant.
 """
 
 from __future__ import annotations
@@ -121,15 +123,6 @@ def _squarefree(p: tuple) -> tuple[int, ...]:
     if _deg(p) < 1:
         return p
     return _divmod(p, _gcd(p, _derivative(p)))[0]  # exact, and primitive
-
-
-def _divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    """True iff p divides q over Q (the zero polynomial is divisible by anything)."""
-    if not q:
-        return True
-    if not p:
-        return False
-    return not _divmod(q, p)[1]
 
 
 def _finite(coeffs: tuple) -> tuple[tuple[int, ...], int]:
@@ -328,38 +321,48 @@ class WeierstrassSurface:
         return BinaryForm(12, (Fraction(c, denom) for c in coeffs))
 
 
-def is_smooth(surface: WeierstrassSurface) -> bool:
-    """Smoothness of the total space, by Kodaira's I1/II criterion.
+def _kodaira(surface: WeierstrassSurface) -> tuple[bool, bool]:
+    """(smooth, cuspidal) from one pass over G = gcd(Delta, Delta').
 
     The total space is smooth exactly when every singular member of the
     pencil has Kodaira type I1 or II (Tate 1975; Miranda 1989).  At a root r
     of Delta, ord_r Delta = 1 is I1, ord_r Delta = 2 is II if a(r) = 0 and
     the node I2 if not, and every type with ord_r Delta >= 3 is singular.
-    G = gcd(Delta, Delta') is the product of (u - r)^(ord_r Delta - 1) over
-    the multiple roots, so smooth means: G is squarefree and [1:0] is at most
-    a double root (no root of multiplicity 3 or more), and G | a, with a
-    vanishing at [1:0] when that is a double root (a = 0 passes both).
+    G is the product of (u - r)^(ord_r Delta - 1) over the multiple roots,
+    so smooth means: G is squarefree and [1:0] is at most a double root (no
+    root of multiplicity 3 or more), and G | a, with a vanishing at [1:0]
+    when that is a double root (a = 0 passes both).  On a smooth surface
+    every multiple root of Delta is then a type-II member, so a cuspidal
+    member exists exactly when G is not constant or [1:0] is a double root.
     """
     d_poly, d_inf = _finite(_discriminant(surface.a, surface.b)[0])
     g_poly = _gcd(d_poly, _derivative(d_poly))
     if d_inf > 2 or _deg(_gcd(g_poly, _derivative(g_poly))) > 0:
-        return False
-    if surface.a.is_zero():
-        return True
-    a_poly, a_inf = _finite(surface.a.coeffs)
-    return _divides(g_poly, a_poly) and (d_inf < 2 or a_inf > 0)
+        return False, False
+    if not surface.a.is_zero():
+        a_poly, a_inf = _finite(surface.a.coeffs)
+        if _divmod(a_poly, g_poly)[1] or (d_inf == 2 and a_inf == 0):
+            return False, False
+    return True, _deg(g_poly) > 0 or d_inf == 2
+
+
+def is_smooth(surface: WeierstrassSurface) -> bool:
+    """Whether the total space is smooth: every singular member has type I1 or II."""
+    return _kodaira(surface)[0]
 
 
 def has_cuspidal_member(surface: WeierstrassSurface) -> bool:
     """Whether some member of the anticanonical pencil has a cusp.
 
-    A member degenerates to a cusp where a and b vanish together (the fiber
-    becomes w^2 = z^3), so exactly when resultant(a, b) = 0; for a = 0
-    identically that is every root of b, and the resultant is 0.
+    A cusp is a fibre of Kodaira type II, where a and b vanish together (the
+    fibre becomes w^2 = z^3) and ord Delta = 2.  On a smooth surface every
+    multiple root of Delta is such a fibre, so the flag comes from the pass
+    that decides smoothness; for a = 0 identically every root of b is one.
     """
-    if not is_smooth(surface):
+    smooth, cuspidal = _kodaira(surface)
+    if not smooth:
         raise ValueError("cusp detection is defined for smooth surfaces only")
-    return resultant(surface.a, surface.b) == 0
+    return cuspidal
 
 
 def alpha_of_surface(surface: WeierstrassSurface) -> Fraction:

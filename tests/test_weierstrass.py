@@ -528,14 +528,15 @@ def _order_at_zero(form: BinaryForm) -> int:
 
 
 # Kodaira type of the member over u = 0: (ord a, ord b, ord Delta) there, the
-# coefficients of a(u) and b(u) from u^0 up, and whether the total space is
-# smooth.  Every other root of Delta is simple, so that member decides.
+# coefficients of a(u) and b(u) from u^0 up, whether the total space is
+# smooth, and on a smooth surface whether some member is cuspidal (None on a
+# singular one).  Every other root of Delta is simple, so that member decides.
 KODAIRA_FIXTURES = {
-    "I1": ((0, 0, 1), (-3, -1, 0, 0, -1), (2, 0, 0, 0, 0, 0, -1), True),
-    "I2": ((0, 0, 2), (-3, 0, 1, 0, 2), (2, 0, 0, 0, 0, 0, 1), False),
-    "II": ((1, 1, 2), (0, -1, 0, 0, 1), (0, 2, 0, 0, 0, 0, 1), True),
-    "III": ((1, 2, 3), (0, -1, 0, 0, 2), (0, 0, 2, 0, 0, 0, 2), False),
-    "IV": ((2, 2, 4), (0, 0, 2, 0, 1), (0, 0, 2, 0, 0, 0, 1), False),
+    "I1": ((0, 0, 1), (-3, -1, 0, 0, -1), (2, 0, 0, 0, 0, 0, -1), True, False),
+    "I2": ((0, 0, 2), (-3, 0, 1, 0, 2), (2, 0, 0, 0, 0, 0, 1), False, None),
+    "II": ((1, 1, 2), (0, -1, 0, 0, 1), (0, 2, 0, 0, 0, 0, 1), True, True),
+    "III": ((1, 2, 3), (0, -1, 0, 0, 2), (0, 0, 2, 0, 0, 0, 2), False, None),
+    "IV": ((2, 2, 4), (0, 0, 2, 0, 1), (0, 0, 2, 0, 0, 0, 1), False, None),
 }
 
 
@@ -547,19 +548,33 @@ def _at(surface: WeierstrassSurface, where: str) -> WeierstrassSurface:
     return WeierstrassSurface(a=surface.a.substituted(*swap), b=surface.b.substituted(*swap))
 
 
-def _assert_smoothness(surface: WeierstrassSurface, smooth: bool) -> None:
+def _shares_a_root(surface: WeierstrassSurface) -> bool:
+    """Whether a and b vanish together: sympy's resultant, or both at [1:0]."""
+    if surface.a.coeffs[0] == 0 and surface.b.coeffs[0] == 0:
+        return True
+    a, b = _dehomogenized(surface.a, _U), _dehomogenized(surface.b, _U)
+    return sympy.resultant(a, b, _U) == 0
+
+
+def _assert_kodaira(surface: WeierstrassSurface, smooth: bool, cusp: bool | None) -> None:
     assert is_smooth(surface) == smooth
     assert reference_weierstrass.is_smooth(surface) == smooth
     assert _singular_by_jacobian(surface) == (not smooth)
+    if smooth:
+        assert has_cuspidal_member(surface) == cusp == _shares_a_root(surface)
+    else:
+        with pytest.raises(ValueError):
+            has_cuspidal_member(surface)
 
 
 class TestKodairaFixtures:
-    """Smooth exactly for the fibre types I1 and II, wherever the fibre sits."""
+    """Smooth exactly for the fibre types I1 and II, and cuspidal exactly with a
+    type-II member, wherever the fibre sits."""
 
     @pytest.mark.parametrize("where", ["u=0", "[1:0]"])
     @pytest.mark.parametrize("kind", sorted(KODAIRA_FIXTURES))
     def test_fibre_type(self, kind, where):
-        orders, a, b, smooth = KODAIRA_FIXTURES[kind]
+        orders, a, b, smooth, cusp = KODAIRA_FIXTURES[kind]
         surface = WeierstrassSurface(a=_form_in_u(*a), b=_form_in_u(*b))
         delta = surface.discriminant()
         assert tuple(_order_at_zero(f) for f in (surface.a, surface.b, delta)) == orders
@@ -567,18 +582,18 @@ class TestKodairaFixtures:
         assert m_inf == 0
         rest = sympy.Poly([sympy.Rational(c) for c in poly[orders[2] :][::-1]], _U)
         assert sympy.gcd(rest, rest.diff(_U)).degree() == 0
-        _assert_smoothness(_at(surface, where), smooth)
+        _assert_kodaira(_at(surface, where), smooth, cusp)
 
     @pytest.mark.parametrize("where", ["u=0", "[1:0]"])
     @pytest.mark.parametrize(
-        "b, smooth",
-        [((1, 0, 0, 0, 0, 0, 1), True), ((0, 0, 1, 0, 0, 0, 1), False)],
+        "b, smooth, cusp",
+        [((1, 0, 0, 0, 0, 0, 1), True, True), ((0, 0, 1, 0, 0, 0, 1), False, None)],
         ids=["b-squarefree", "b-square-factor"],
     )
-    def test_zero_a(self, b, smooth, where):
+    def test_zero_a(self, b, smooth, cusp, where):
         # Delta = 27 b^2: a simple root of b is type II, a double root type IV
         surface = WeierstrassSurface(a=ZERO4, b=_form_in_u(*b))
-        _assert_smoothness(_at(surface, where), smooth)
+        _assert_kodaira(_at(surface, where), smooth, cusp)
 
 
 class TestLargeCoefficients:
