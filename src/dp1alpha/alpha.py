@@ -27,15 +27,11 @@ from functools import lru_cache
 from math import isqrt
 
 from .cone import F1, P2, P1XP1, PolarizationProfile, classify
-from .lemmas import lc_two_smooth_branches
 from .picard import PicardClass, canonical_class, exceptional_class
-from .weierstrass import (
-    BinaryForm,
-    WeierstrassSurface,
-    alpha_of_surface,
-    find_square_sections,
-    is_smooth,
-)
+
+# `lemmas` and `weierstrass` are imported inside their only users,
+# `upper_bound_witnesses` and `_quartic_sextic_surface_data`, so a command
+# that needs neither does not load them (importing `lemmas` builds its bank).
 
 __all__ = [
     "CounterexampleReport",
@@ -268,6 +264,8 @@ def upper_bound_witnesses(
     at any larger scale.  The minimum of the bounds equals
     ``alpha_theorem(lam, n_intersections, alpha_S)``.
     """
+    from .lemmas import lc_two_smooth_branches
+
     lam = Fraction(lam)
     alpha_S = Fraction(alpha_S)
     if n_intersections not in (1, 2, 3):
@@ -330,6 +328,14 @@ class CounterexampleReport:
 @lru_cache(maxsize=1)
 def _quartic_sextic_surface_data() -> tuple[Fraction, int]:
     """Global alpha and tangency count for the surface with a = x^4, b = y^6."""
+    from .weierstrass import (
+        BinaryForm,
+        WeierstrassSurface,
+        alpha_of_surface,
+        find_square_sections,
+        is_smooth,
+    )
+
     surface = WeierstrassSurface(
         a=BinaryForm(4, (1, 0, 0, 0, 0)),
         b=BinaryForm(6, (0, 0, 0, 0, 0, 0, 1)),

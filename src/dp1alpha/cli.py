@@ -21,38 +21,60 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
-from .alpha import (
-    alpha_conjecture,
-    alpha_del_pezzo,
-    alpha_theorem,
-    counterexample_report,
-    cylinder_range_contains,
-    kstable_range_contains,
-)
-from .cone import PolarizationProfile, UnclassifiableError, classify, is_ample
-from .lemmas import LEMMA_IDS, LemmaProbeError, relaxation_probe, verify_lemma
-from .picard import (
-    enumerate_conic_classes,
-    enumerate_minus_one_classes,
-    format_class,
-    parse_class,
-)
 from .rationals import MAX_DIGITS, format_rational, parse_rational
-from .weierstrass import (
-    NotASectionError,
-    WeierstrassSurface,
-    alpha_of_surface,
-    find_square_sections,
-    format_form,
-    has_cuspidal_member,
-    is_smooth,
-    parse_form,
-    section_pair,
-)
+
+if TYPE_CHECKING:
+    from .cone import PolarizationProfile
 
 __all__ = ["build_parser", "entry", "run"]
+
+# The names the handlers call, by the submodule that defines them.  Each one
+# becomes an attribute of this module on first access (PEP 562), so a command
+# imports only the submodules it calls.  The handlers call through these
+# attributes (``_cli.classify``), so rebinding ``cli.classify`` changes what runs.
+_HANDLER_NAMES = {
+    "alpha": (
+        "alpha_conjecture",
+        "alpha_del_pezzo",
+        "alpha_theorem",
+        "counterexample_report",
+        "cylinder_range_contains",
+        "kstable_range_contains",
+    ),
+    "cone": ("classify", "is_ample"),
+    "lemmas": ("relaxation_probe", "verify_lemma"),
+    "picard": (
+        "enumerate_conic_classes",
+        "enumerate_minus_one_classes",
+        "format_class",
+        "parse_class",
+    ),
+    "weierstrass": (
+        "WeierstrassSurface",
+        "alpha_of_surface",
+        "find_square_sections",
+        "format_form",
+        "has_cuspidal_member",
+        "is_smooth",
+        "parse_form",
+        "section_pair",
+    ),
+}
+_SOURCE = {name: module for module, names in _HANDLER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCE[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +116,9 @@ def _profile_json(profile: PolarizationProfile, r: _Renderer) -> dict[str, Any]:
         "a": [r.rat(x) for x in profile.a],
         "delta": r.rat(profile.delta),
         "s_A": r.rat(profile.s_A),
-        "face_generators": [format_class(v) for v in sorted(profile.face_generators)],
-        "basis": [format_class(v) for v in profile.basis],
-        "conic": None if profile.conic is None else format_class(profile.conic),
+        "face_generators": [_cli.format_class(v) for v in sorted(profile.face_generators)],
+        "basis": [_cli.format_class(v) for v in profile.basis],
+        "conic": None if profile.conic is None else _cli.format_class(profile.conic),
     }
 
 
@@ -106,34 +128,34 @@ def _profile_json(profile: PolarizationProfile, r: _Renderer) -> dict[str, Any]:
 
 def _handle_curves_enumerate(args, r):
     if args.kind == "minus-one":
-        members = enumerate_minus_one_classes().members
+        members = _cli.enumerate_minus_one_classes().members
     else:
-        members = enumerate_conic_classes().members
+        members = _cli.enumerate_conic_classes().members
     outputs = {
         "count": len(members),
-        "classes": [format_class(v) for v in sorted(members)],
+        "classes": [_cli.format_class(v) for v in sorted(members)],
     }
     return {"kind": args.kind}, outputs, 0
 
 
 def _handle_ample(args, r):
-    v = parse_class(args.cls)
-    outputs = {"class": format_class(v), "ample": is_ample(v)}
+    v = _cli.parse_class(args.cls)
+    outputs = {"class": _cli.format_class(v), "ample": _cli.is_ample(v)}
     return {"class": args.cls}, outputs, 0
 
 
 def _handle_classify(args, r):
-    v = parse_class(args.cls)
-    profile = classify(v)
-    outputs = {"class": format_class(v), "profile": _profile_json(profile, r)}
+    v = _cli.parse_class(args.cls)
+    profile = _cli.classify(v)
+    outputs = {"class": _cli.format_class(v), "profile": _profile_json(profile, r)}
     return {"class": args.cls}, outputs, 0
 
 
 def _handle_alpha_conjecture(args, r):
-    v = parse_class(args.cls)
-    profile = classify(v)
+    v = _cli.parse_class(args.cls)
+    profile = _cli.classify(v)
     outputs = {
-        "alpha_c": r.rat(alpha_conjecture(profile)),
+        "alpha_c": r.rat(_cli.alpha_conjecture(profile)),
         "profile": _profile_json(profile, r),
     }
     return {"class": args.cls}, outputs, 0
@@ -146,7 +168,7 @@ def _handle_alpha_theorem(args, r):
             "negative lambda is gated behind --allow-negative-lambda "
             "(the default range is 0 <= lambda < 1)"
         )
-    value = alpha_theorem(lam, args.n, parse_rational(args.alpha_s))
+    value = _cli.alpha_theorem(lam, args.n, parse_rational(args.alpha_s))
     inputs = {
         "lambda": args.lam,
         "n": args.n,
@@ -157,7 +179,7 @@ def _handle_alpha_theorem(args, r):
 
 
 def _handle_alpha_table(args, r):
-    value = alpha_del_pezzo(args.degree, args.flags)
+    value = _cli.alpha_del_pezzo(args.degree, args.flags)
     inputs = {"degree": args.degree, "flags": args.flags}
     return inputs, {"alpha": r.rat(value)}, 0
 
@@ -165,20 +187,20 @@ def _handle_alpha_table(args, r):
 def _handle_surface_analyze(args, r):
     if (args.q is None) != (args.g is None):
         raise ValueError("--q and --g must be given together")
-    surface = WeierstrassSurface(a=parse_form(args.a), b=parse_form(args.b))
-    smooth = is_smooth(surface)
+    surface = _cli.WeierstrassSurface(a=_cli.parse_form(args.a), b=_cli.parse_form(args.b))
+    smooth = _cli.is_smooth(surface)
     outputs: dict[str, Any] = {"smooth": smooth}
     if smooth:
-        outputs["has_cuspidal_member"] = has_cuspidal_member(surface)
-        outputs["alpha_s"] = r.rat(alpha_of_surface(surface))
+        outputs["has_cuspidal_member"] = _cli.has_cuspidal_member(surface)
+        outputs["alpha_s"] = r.rat(_cli.alpha_of_surface(surface))
     if args.q is not None:
-        pairs = [section_pair(surface, parse_form(args.q), parse_form(args.g))]
+        pairs = [_cli.section_pair(surface, _cli.parse_form(args.q), _cli.parse_form(args.g))]
     else:
-        pairs = find_square_sections(surface)
+        pairs = _cli.find_square_sections(surface)
     outputs["sections"] = [
         {
-            "q": format_form(p.q),
-            "g": format_form(p.g),
+            "q": _cli.format_form(p.q),
+            "g": _cli.format_form(p.g),
             "n_intersections": p.n_intersections,
         }
         for p in pairs
@@ -188,7 +210,7 @@ def _handle_surface_analyze(args, r):
 
 
 def _handle_counterexample(args, r):
-    report = counterexample_report(parse_rational(args.lam))
+    report = _cli.counterexample_report(parse_rational(args.lam))
     outputs = {
         "alpha": r.rat(report.alpha),
         "alpha_c": r.rat(report.alpha_c),
@@ -200,9 +222,9 @@ def _handle_counterexample(args, r):
 def _handle_range(args, r):
     lam = parse_rational(args.lam)
     if args.window == "kstable":
-        contains = kstable_range_contains(lam)
+        contains = _cli.kstable_range_contains(lam)
     else:
-        contains = cylinder_range_contains(lam)
+        contains = _cli.cylinder_range_contains(lam)
     inputs = {"window": args.window, "lambda": args.lam}
     return inputs, {"contains": contains}, 0
 
@@ -210,7 +232,7 @@ def _handle_range(args, r):
 def _handle_lemma_verify(args, r):
     inputs = {"lemma": args.lemma_id, "probe": args.probe}
     if args.probe is not None:
-        witness = relaxation_probe(args.lemma_id, args.probe)
+        witness = _cli.relaxation_probe(args.lemma_id, args.probe)
         outputs = {
             "lemma": args.lemma_id,
             "probe": args.probe,
@@ -218,7 +240,7 @@ def _handle_lemma_verify(args, r):
             "witness": {name: r.rat(value) for name, value in witness.items()},
         }
         return inputs, outputs, 0
-    report = verify_lemma(args.lemma_id)
+    report = _cli.verify_lemma(args.lemma_id)
     cases = []
     for case in report.cases:
         entry_json: dict[str, Any] = {"name": case.name, "infeasible": case.infeasible}
@@ -251,8 +273,15 @@ def _decimal_digits(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without the usage text, and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--decimal",
         type=_decimal_digits,
@@ -261,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render each rational as a K-digit decimal",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dp1alpha",
         description="Exact alpha-invariant computations on degree-one del Pezzo surfaces.",
     )
@@ -369,8 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="verify one lemma, or run a designated relaxation probe",
     )
-    verify.add_argument("lemma_id", choices=LEMMA_IDS, metavar="LEMMA_ID",
-                        help=f"one of: {', '.join(LEMMA_IDS)}")
+    verify.add_argument(
+        "lemma_id", metavar="LEMMA_ID",
+        help="a lemma id such as local-1; README.md lists them, "
+        "and an unknown id exits 2 with the list",
+    )
     verify.add_argument(
         "--probe", default=None, metavar="CASE:ROW",
         help="drop the named row and exhibit a feasible witness instead",
@@ -403,6 +435,16 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     return merged
 
 
+def _loaded_error(module: str, name: str) -> tuple[type[Exception], ...]:
+    """The package's exception class ``module.name``, or () if ``module`` is not loaded.
+
+    An except clause evaluates this only when an exception reaches it, and a
+    submodule this command never imported cannot have raised.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else (getattr(loaded, name),)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; print its JSON report; return the exit code."""
     parser = build_parser()
@@ -416,13 +458,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     renderer = _Renderer(getattr(args, "decimal", None))
     try:
         inputs, outputs, code = args.handler(args, renderer)
-    except LemmaProbeError as exc:
+    except _loaded_error("lemmas", "LemmaProbeError") as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NotASectionError, ZeroDivisionError) as exc:
+    except (
+        ValueError, ZeroDivisionError, *_loaded_error("weierstrass", "NotASectionError")
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnclassifiableError, AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, *_loaded_error("cone", "UnclassifiableError")) as exc:
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command_path, "inputs": inputs, "outputs": outputs}

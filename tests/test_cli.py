@@ -22,6 +22,14 @@ MINUS_K = "3,-1,-1,-1,-1,-1,-1,-1,-1"
 HALF_PENCIL = "3,-1,-1,-1,-1,-1,-1,-1,-1/2"  # -K + (1/2) * e8
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that finds the package where this one did."""
+    source = str(Path(dp1alpha.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
 def invoke(capsys, argv):
     """Run one CLI command, returning (exit code, parsed stdout, stderr)."""
     capsys.readouterr()  # discard anything pending
@@ -213,12 +221,56 @@ class TestExitCodes:
             ["range", "elliptic", "--lambda", "0"],
             ["nonsense"],
             [],
+            # usage errors that argparse reports
+            ["lemma", "verify", "nosuch"],
+            ["lemma", "verify"],
+            ["lemma"],
+            ["alpha", "theorem", "--lambda", "1/2", "--n", "4", "--alpha-s", "1"],
+            ["alpha", "theorem", "--lambda", "1/2", "--n", "x", "--alpha-s", "1"],
+            ["alpha", "theorem", "--n", "1", "--alpha-s", "1"],
+            ["alpha"],
+            ["alpha", "table"],
+            ["alpha", "table", "--degree", "one"],
+            ["curves", "enumerate", "--kind", "cubic"],
+            ["curves", "list"],
+            ["ample"],
+            ["classify", "--class"],
+            ["surface", "analyze", "--a", "4:1,0,0,0,0"],
+            ["range", "kstable"],
+            ["counterexample", "--lambda", "1/2", "--decimal", "x"],
+            ["counterexample", "--lambda", "1/2", "extra\nline"],
         ],
     )
     def test_malformed_input_exits_two_without_output(self, capsys, argv):
-        code, report, _ = invoke(capsys, argv)
+        code, report, err = invoke(capsys, argv)
         assert code == 2
         assert report is None  # no partial JSON on stdout
+        assert err.count("\n") == 1 and err.endswith("\n")  # one line, no usage text
+        assert "Traceback" not in err
+
+    def test_usage_error_names_the_parser_and_the_problem(self, capsys):
+        argv = ["alpha", "theorem", "--lambda", "1/2", "--n", "4", "--alpha-s", "1"]
+        code, _, err = invoke(capsys, argv)
+        assert code == 2
+        assert err == (
+            "dp1alpha alpha theorem: error: argument --n: invalid choice: 4 "
+            "(choose from 1, 2, 3)\n"
+        )
+
+    def test_unknown_lemma_id_lists_the_known_ids(self, capsys):
+        code, report, err = invoke(capsys, ["lemma", "verify", "nosuch"])
+        assert code == 2 and report is None
+        assert err.startswith("error: unknown lemma id 'nosuch'; known: ")
+        assert err.count("\n") == 1
+        assert all(lemma_id in err for lemma_id in lemmas.LEMMA_IDS)
+
+    def test_lemma_help_points_to_the_readme_list(self, capsys):
+        capsys.readouterr()
+        assert run(["lemma", "verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "README.md lists them" in " ".join(out.split())
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert all(f"`{lemma_id}`" in readme for lemma_id in lemmas.LEMMA_IDS)
 
     def test_redundant_probe_is_verification_failure(self, capsys):
         # dropping a redundant row keeps the system infeasible: exit 1
@@ -367,6 +419,83 @@ class TestDigitCaps:
                 assert "Exceeds" not in err
 
 
+PICARD = {"picard"}
+CONE = {"cone", "linprog"} | PICARD
+ALPHA = {"alpha"} | CONE
+WEIERSTRASS = {"weierstrass"}
+LEMMAS = {"lemmas", "fme"}
+
+# Every command of the README's subcommand list, a few failures, and the
+# dp1alpha.* modules a fresh process must load for each (besides cli and
+# rationals, which every command loads).
+COLD_COMMANDS = [
+    (["curves", "enumerate"], PICARD),
+    (["curves", "enumerate", "--kind", "conic"], PICARD),
+    (["ample", "--class", HALF_PENCIL], CONE),
+    (["classify", "--class", HALF_PENCIL], CONE),
+    (["alpha", "conjecture", "--class", HALF_PENCIL], ALPHA),
+    (["alpha", "theorem", "--lambda", "1/2", "--n", "1", "--alpha-s", "1"], ALPHA),
+    (["alpha", "theorem", "--lambda", "-1/5", "--n", "2", "--alpha-s", "5/6",
+      "--allow-negative-lambda"], ALPHA),
+    (["alpha", "table", "--degree", "1", "--flags", "no-cuspidal"], ALPHA),
+    (["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1"], WEIERSTRASS),
+    (["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1",
+      "--q", "2:0,0,0", "--g", "3:0,0,0,1"], WEIERSTRASS),
+    (["counterexample", "--lambda", "1/2", "--decimal", "5"], ALPHA | WEIERSTRASS),
+    (["range", "kstable", "--lambda", "1/5"], ALPHA),
+    (["range", "cylinder", "--lambda", "-1/4"], ALPHA),
+    (["lemma", "verify", "local-1"], LEMMAS),
+    (["lemma", "verify", "local-1", "--probe", "main:x-cap"], LEMMAS),
+    # exit 1 (LemmaProbeError), and exit 2 from NotASectionError and ValueError
+    (["lemma", "verify", "local-1", "--probe", "main:mult"], LEMMAS),
+    (["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1",
+      "--q", "2:0,0,0", "--g", "3:1,0,0,1"], WEIERSTRASS),
+    (["counterexample", "--lambda", "3/2"], ALPHA),
+    (["lemma", "verify", "nosuch"], LEMMAS),
+    # argparse errors and help load nothing past the parser
+    (["lemma", "verify", "--help"], set()),
+    (["alpha", "theorem", "--lambda", "1/2", "--n", "4", "--alpha-s", "1"], set()),
+]
+
+_COLD_RUN = (
+    "import json, sys\n"
+    "from dp1alpha import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('dp1alpha.'))\n"
+    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+)
+
+
+class TestColdProcess:
+    """A fresh interpreter imports only what the command calls, and prints the same bytes.
+
+    In-process tests cannot see a missing lazy binding: earlier tests have
+    already imported every module.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, modules", [pytest.param(*case, id=" ".join(case[0])) for case in COLD_COMMANDS]
+    )
+    def test_same_output_from_only_the_modules_it_calls(
+        self, capsys, monkeypatch, argv, modules
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
+        cold = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN, *argv],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert cold.returncode == 0, cold.stderr
+        *messages, status = cold.stderr.splitlines()
+        code, loaded = json.loads(status)
+        assert loaded == sorted(f"dp1alpha.{m}" for m in modules | {"cli", "rationals"})
+
+        capsys.readouterr()
+        assert code == run(argv)
+        warm = capsys.readouterr()
+        assert cold.stdout == warm.out
+        assert messages == warm.err.splitlines()
+
+
 class TestParserShape:
     def test_build_parser_is_reusable(self):
         parser = build_parser()
@@ -374,15 +503,11 @@ class TestParserShape:
         assert args.command_path == "curves enumerate"
 
     def test_console_script_runs(self):
-        # the child finds the package where this process found it
-        source = str(Path(dp1alpha.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "dp1alpha.cli", "alpha", "table", "--degree", "9"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["outputs"]["alpha"] == "1/3"
