@@ -7,21 +7,24 @@ Every invocation prints a single deterministic JSON report::
 with keys sorted and every rational rendered exactly as ``p/q`` in lowest
 terms (``--decimal k`` adds a k-digit decimal rendering alongside, never
 replacing the exact value).  Input numerators and denominators have at most
-``rationals.MAX_DIGITS`` digits, and k is at most that number.  Exit codes:
-0 on success, 1 on a verification failure (a lemma case that turns out
-feasible, or a relaxation probe that fails; the witness is printed), 2 on
-malformed input, 3 on an internal failure (a classification or certificate
-check that does not hold up); on 1, 2 and 3 stdout stays empty and stderr
-gets one line.
+``rationals.MAX_DIGITS`` digits, and k is at most that number.
+
+Exit codes: 0 success; 1 verification failure (a lemma case that turns out
+feasible prints its report, witness included; a relaxation probe that stays
+infeasible prints nothing on stdout); 2 malformed input; 3 internal failure
+(a classification or certificate check that does not hold up).  Except for
+the feasible lemma report, stdout stays empty on 1, 2 and 3, and stderr gets
+one line.  ``entry`` exits 141, the shell's SIGPIPE status, when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import import_module
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .rationals import MAX_DIGITS, format_rational, parse_rational
@@ -31,46 +34,18 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "entry", "run"]
 
-# The names the handlers call, by the submodule that defines them.  Each one
-# becomes an attribute of this module on first access (PEP 562), so a command
-# imports only the submodules it calls.  The handlers call through these
-# attributes (``_cli.classify``), so rebinding ``cli.classify`` changes what runs.
-_HANDLER_NAMES = {
-    "alpha": (
-        "alpha_conjecture",
-        "alpha_del_pezzo",
-        "alpha_theorem",
-        "counterexample_report",
-        "cylinder_range_contains",
-        "kstable_range_contains",
-    ),
-    "cone": ("classify", "is_ample"),
-    "lemmas": ("relaxation_probe", "verify_lemma"),
-    "picard": (
-        "enumerate_conic_classes",
-        "enumerate_minus_one_classes",
-        "format_class",
-        "parse_class",
-    ),
-    "weierstrass": (
-        "WeierstrassSurface",
-        "alpha_of_surface",
-        "find_square_sections",
-        "format_form",
-        "has_cuspidal_member",
-        "is_smooth",
-        "parse_form",
-        "section_pair",
-    ),
-}
-_SOURCE = {name: module for module, names in _HANDLER_NAMES.items() for name in names}
-
 
 def __getattr__(name: str) -> Any:
-    if name not in _SOURCE:
+    """Bind a public name of the package (``cli.classify``) on first access (PEP 562).
+
+    The package imports only the submodule that defines the name, so a command
+    imports only the submodules it calls.  The handlers call through these
+    bindings (``_cli.classify``), so rebinding ``cli.classify`` changes what runs.
+    """
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_SOURCE[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -93,29 +68,23 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return f"{sign}{magnitude // scale}.{magnitude % scale:0{digits}d}"
 
 
-class _Renderer:
-    """Renders rational leaves exactly, optionally with a decimal alongside."""
-
-    def __init__(self, decimal_digits: int | None) -> None:
-        self.decimal_digits = decimal_digits
-
-    def rat(self, value: Fraction) -> Any:
-        exact = format_rational(Fraction(value))
-        if self.decimal_digits is None:
-            return exact
-        return {
-            "exact": exact,
-            "decimal": _decimal_string(Fraction(value), self.decimal_digits),
-        }
+def _render_rational(value: Any, decimal_digits: int | None) -> Any:
+    """The JSON encoder's ``default``: a Fraction as ``p/q``, with a decimal if asked."""
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    exact = format_rational(value)
+    if decimal_digits is None:
+        return exact
+    return {"exact": exact, "decimal": _decimal_string(value, decimal_digits)}
 
 
-def _profile_json(profile: PolarizationProfile, r: _Renderer) -> dict[str, Any]:
+def _profile_json(profile: PolarizationProfile) -> dict[str, Any]:
     return {
         "type": profile.type_tag,
-        "mu": r.rat(profile.mu),
-        "a": [r.rat(x) for x in profile.a],
-        "delta": r.rat(profile.delta),
-        "s_A": r.rat(profile.s_A),
+        "mu": profile.mu,
+        "a": profile.a,
+        "delta": profile.delta,
+        "s_A": profile.s_A,
         "face_generators": [_cli.format_class(v) for v in sorted(profile.face_generators)],
         "basis": [_cli.format_class(v) for v in profile.basis],
         "conic": None if profile.conic is None else _cli.format_class(profile.conic),
@@ -123,10 +92,10 @@ def _profile_json(profile: PolarizationProfile, r: _Renderer) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (inputs echo, outputs, exit code)
+# Handlers: each returns (inputs echo, outputs, exit code); rationals stay Fractions
 # ---------------------------------------------------------------------------
 
-def _handle_curves_enumerate(args, r):
+def _handle_curves_enumerate(args):
     if args.kind == "minus-one":
         members = _cli.enumerate_minus_one_classes().members
     else:
@@ -138,30 +107,27 @@ def _handle_curves_enumerate(args, r):
     return {"kind": args.kind}, outputs, 0
 
 
-def _handle_ample(args, r):
+def _handle_ample(args):
     v = _cli.parse_class(args.cls)
     outputs = {"class": _cli.format_class(v), "ample": _cli.is_ample(v)}
     return {"class": args.cls}, outputs, 0
 
 
-def _handle_classify(args, r):
+def _handle_classify(args):
     v = _cli.parse_class(args.cls)
     profile = _cli.classify(v)
-    outputs = {"class": _cli.format_class(v), "profile": _profile_json(profile, r)}
+    outputs = {"class": _cli.format_class(v), "profile": _profile_json(profile)}
     return {"class": args.cls}, outputs, 0
 
 
-def _handle_alpha_conjecture(args, r):
+def _handle_alpha_conjecture(args):
     v = _cli.parse_class(args.cls)
     profile = _cli.classify(v)
-    outputs = {
-        "alpha_c": r.rat(_cli.alpha_conjecture(profile)),
-        "profile": _profile_json(profile, r),
-    }
+    outputs = {"alpha_c": _cli.alpha_conjecture(profile), "profile": _profile_json(profile)}
     return {"class": args.cls}, outputs, 0
 
 
-def _handle_alpha_theorem(args, r):
+def _handle_alpha_theorem(args):
     lam = parse_rational(args.lam)
     if lam < 0 and not args.allow_negative_lambda:
         raise ValueError(
@@ -175,16 +141,16 @@ def _handle_alpha_theorem(args, r):
         "alpha_s": args.alpha_s,
         "allow_negative_lambda": args.allow_negative_lambda,
     }
-    return inputs, {"alpha": r.rat(value)}, 0
+    return inputs, {"alpha": value}, 0
 
 
-def _handle_alpha_table(args, r):
+def _handle_alpha_table(args):
     value = _cli.alpha_del_pezzo(args.degree, args.flags)
     inputs = {"degree": args.degree, "flags": args.flags}
-    return inputs, {"alpha": r.rat(value)}, 0
+    return inputs, {"alpha": value}, 0
 
 
-def _handle_surface_analyze(args, r):
+def _handle_surface_analyze(args):
     if (args.q is None) != (args.g is None):
         raise ValueError("--q and --g must be given together")
     surface = _cli.WeierstrassSurface(a=_cli.parse_form(args.a), b=_cli.parse_form(args.b))
@@ -192,7 +158,7 @@ def _handle_surface_analyze(args, r):
     outputs: dict[str, Any] = {"smooth": smooth}
     if smooth:
         outputs["has_cuspidal_member"] = _cli.has_cuspidal_member(surface)
-        outputs["alpha_s"] = r.rat(_cli.alpha_of_surface(surface))
+        outputs["alpha_s"] = _cli.alpha_of_surface(surface)
     if args.q is not None:
         pairs = [_cli.section_pair(surface, _cli.parse_form(args.q), _cli.parse_form(args.g))]
     else:
@@ -209,17 +175,17 @@ def _handle_surface_analyze(args, r):
     return inputs, outputs, 0
 
 
-def _handle_counterexample(args, r):
+def _handle_counterexample(args):
     report = _cli.counterexample_report(parse_rational(args.lam))
     outputs = {
-        "alpha": r.rat(report.alpha),
-        "alpha_c": r.rat(report.alpha_c),
+        "alpha": report.alpha,
+        "alpha_c": report.alpha_c,
         "conjecture_violated": report.conjecture_violated,
     }
     return {"lambda": args.lam}, outputs, 0
 
 
-def _handle_range(args, r):
+def _handle_range(args):
     lam = parse_rational(args.lam)
     if args.window == "kstable":
         contains = _cli.kstable_range_contains(lam)
@@ -229,7 +195,7 @@ def _handle_range(args, r):
     return inputs, {"contains": contains}, 0
 
 
-def _handle_lemma_verify(args, r):
+def _handle_lemma_verify(args):
     inputs = {"lemma": args.lemma_id, "probe": args.probe}
     if args.probe is not None:
         witness = _cli.relaxation_probe(args.lemma_id, args.probe)
@@ -237,7 +203,7 @@ def _handle_lemma_verify(args, r):
             "lemma": args.lemma_id,
             "probe": args.probe,
             "feasible": True,
-            "witness": {name: r.rat(value) for name, value in witness.items()},
+            "witness": witness,
         }
         return inputs, outputs, 0
     report = _cli.verify_lemma(args.lemma_id)
@@ -246,13 +212,11 @@ def _handle_lemma_verify(args, r):
         entry_json: dict[str, Any] = {"name": case.name, "infeasible": case.infeasible}
         if case.certificate is not None:
             entry_json["certificate"] = {
-                "multipliers": [r.rat(m) for m in case.certificate.multipliers],
+                "multipliers": case.certificate.multipliers,
                 "strict_indices": sorted(case.certificate.strict_indices),
             }
         if case.witness is not None:
-            entry_json["witness"] = {
-                name: r.rat(value) for name, value in case.witness.items()
-            }
+            entry_json["witness"] = case.witness
         cases.append(entry_json)
     outputs = {"lemma": args.lemma_id, "verified": report.verified, "cases": cases}
     return inputs, outputs, 0 if report.verified else 1
@@ -435,14 +399,14 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     return merged
 
 
-def _loaded_error(module: str, name: str) -> tuple[type[Exception], ...]:
-    """The package's exception class ``module.name``, or () if ``module`` is not loaded.
+def _probe_error() -> tuple[type[Exception], ...]:
+    """``lemmas.LemmaProbeError``, or () if this command never loaded ``lemmas``.
 
     An except clause evaluates this only when an exception reaches it, and a
     submodule this command never imported cannot have raised.
     """
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return () if loaded is None else (getattr(loaded, name),)
+    lemmas = sys.modules.get(f"{__package__}.lemmas")
+    return () if lemmas is None else (lemmas.LemmaProbeError,)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -455,27 +419,36 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         code = exc.code
         return code if isinstance(code, int) else 2
-    renderer = _Renderer(getattr(args, "decimal", None))
     try:
-        inputs, outputs, code = args.handler(args, renderer)
-    except _loaded_error("lemmas", "LemmaProbeError") as exc:
+        inputs, outputs, code = args.handler(args)
+    except _probe_error() as exc:  # a RuntimeError, so it comes first
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        ValueError, ZeroDivisionError, *_loaded_error("weierstrass", "NotASectionError")
-    ) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError, *_loaded_error("cone", "UnclassifiableError")) as exc:
+    except (AssertionError, RuntimeError) as exc:
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command_path, "inputs": inputs, "outputs": outputs}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(
+        report, indent=2, sort_keys=True,
+        default=lambda value: _render_rational(value, args.decimal),
+    ))
     return code
 
 
 def entry() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the
+        # interpreter's final flush stays quiet, and exit with the status a
+        # shell gives a process that SIGPIPE ends (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ F1 = "F1"
 P1XP1 = "P1xP1"
 
 
-class UnclassifiableError(Exception):
+class UnclassifiableError(RuntimeError):
     """No valid decomposition of K + mu*A was found (internal-consistency failure)."""
 
 

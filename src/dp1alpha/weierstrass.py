@@ -26,7 +26,7 @@ from typing import Iterable
 from .rationals import clear, format_rational, parse_rational, rational_sqrt
 
 
-class NotASectionError(Exception):
+class NotASectionError(ValueError):
     """The proposed (q, g) does not satisfy g^2 = q^3 + a*q + b."""
 
 

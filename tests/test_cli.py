@@ -1,23 +1,30 @@
 """Tests for the JSON command-line front end."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dp1alpha
 import dp1alpha.cli as cli
 from dp1alpha import fme, lemmas
 from dp1alpha.cli import build_parser, run
 from dp1alpha.cone import UnclassifiableError
-from dp1alpha.rationals import MAX_DIGITS
+from dp1alpha.rationals import MAX_DIGITS, format_rational, parse_rational
+from dp1alpha.weierstrass import BinaryForm, NotASectionError, format_form
 
 F = Fraction
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MINUS_K = "3,-1,-1,-1,-1,-1,-1,-1,-1"
 HALF_PENCIL = "3,-1,-1,-1,-1,-1,-1,-1,-1/2"  # -K + (1/2) * e8
 
@@ -37,6 +44,52 @@ def invoke(capsys, argv):
     captured = capsys.readouterr()
     parsed = json.loads(captured.out) if captured.out else None
     return code, parsed, captured.err
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each runnable command line in the README's subcommand list."""
+    return [
+        line.split()[1:]
+        for line in README.read_text().splitlines()
+        if line.startswith("dp1alpha ") and "[" not in line
+    ]
+
+
+def _is_rational(text: str) -> bool:
+    try:
+        parse_rational(text)
+    except ValueError:
+        return False
+    return True
+
+
+# The output keys whose values are counts or indices, not rationals.
+INTEGER_KEYS = {"count", "n_intersections", "strict_indices"}
+
+
+def _rational_leaves(plain, decimal, key=None):
+    """(exact, {"exact", "decimal"}) for each rational leaf of two renderings of one report.
+
+    Every other leaf must be the same in both; a string that reads as a
+    rational must have been rendered as one, and a JSON number may only be a
+    count or an index.
+    """
+    if isinstance(decimal, dict) and decimal.keys() == {"exact", "decimal"}:
+        yield plain, decimal
+    elif isinstance(plain, dict):
+        assert isinstance(decimal, dict) and plain.keys() == decimal.keys()
+        for k in plain:
+            yield from _rational_leaves(plain[k], decimal[k], k)
+    elif isinstance(plain, list):
+        assert isinstance(decimal, list) and len(plain) == len(decimal)
+        for p, d in zip(plain, decimal):
+            yield from _rational_leaves(p, d, key)
+    else:
+        assert plain == decimal
+        assert not (isinstance(plain, str) and _is_rational(plain)), (key, plain)
+        assert not isinstance(plain, (int, float)) or isinstance(plain, bool) or (
+            key in INTEGER_KEYS
+        ), (key, plain)
 
 
 class TestReferenceCommands:
@@ -269,7 +322,7 @@ class TestExitCodes:
         assert run(["lemma", "verify", "--help"]) == 0
         out = capsys.readouterr().out
         assert "README.md lists them" in " ".join(out.split())
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         assert all(f"`{lemma_id}`" in readme for lemma_id in lemmas.LEMMA_IDS)
 
     def test_redundant_probe_is_verification_failure(self, capsys):
@@ -280,6 +333,28 @@ class TestExitCodes:
         assert code == 1
         assert report is None
         assert "verification failure" in err
+
+    def test_feasible_lemma_case_prints_its_report_and_exits_one(self, capsys, monkeypatch):
+        witness = {"x": F(3, 2), "a": F(0)}
+        report = lemmas.LemmaReport(
+            "local-1", False, (lemmas.CaseReport("main", False, None, witness),)
+        )
+        monkeypatch.setattr(cli, "verify_lemma", lambda lemma_id: report)
+        code, printed, err = invoke(capsys, ["lemma", "verify", "local-1"])
+        assert code == 1 and err == ""
+        assert printed["outputs"] == {
+            "lemma": "local-1",
+            "verified": False,
+            "cases": [{"name": "main", "infeasible": False, "witness": {"a": "0", "x": "3/2"}}],
+        }
+        code, printed, err = invoke(capsys, ["lemma", "verify", "local-1", "--decimal", "2"])
+        assert code == 1 and err == ""
+        assert printed["outputs"]["cases"][0]["witness"]["x"] == {"exact": "3/2", "decimal": "1.50"}
+
+    def test_exceptions_reach_their_exit_codes_through_their_bases(self):
+        assert issubclass(NotASectionError, ValueError)
+        assert issubclass(UnclassifiableError, RuntimeError)
+        assert issubclass(lemmas.LemmaProbeError, RuntimeError)  # so run() catches it first
 
     @pytest.mark.parametrize(
         "failure",
@@ -381,6 +456,22 @@ class TestDecimalRendering:
         code, report, _ = invoke(capsys, ["counterexample", "--lambda", "1/2"])
         assert isinstance(report["outputs"]["alpha"], str)
 
+    @pytest.mark.parametrize(
+        "argv", [pytest.param(argv, id=" ".join(argv)) for argv in readme_commands()]
+    )
+    def test_every_rational_of_a_readme_command_gains_its_decimal(self, capsys, argv):
+        code, plain, _ = invoke(capsys, argv)
+        assert code == 0
+        code, decimal, _ = invoke(capsys, argv + ["--decimal", "3"])
+        assert code == 0
+        assert decimal["inputs"] == plain["inputs"]
+        pairs = list(_rational_leaves(plain["outputs"], decimal["outputs"]))
+        assert bool(pairs) == (argv[0] not in ("curves", "ample", "range"))
+        for exact, rendered in pairs:
+            assert rendered["exact"] == exact
+            assert re.fullmatch(r"-?[0-9]+\.[0-9]{3}", rendered["decimal"])
+            assert Fraction(rendered["decimal"]) == Fraction(round(Fraction(exact) * 1000), 1000)
+
 
 class TestDigitCaps:
     """Inputs past MAX_DIGITS end in exit 2 with the program's own message."""
@@ -417,6 +508,128 @@ class TestDigitCaps:
                 assert code == 2 and report is None
                 assert f"limited to {MAX_DIGITS} digits" in err
                 assert "Exceeds" not in err
+
+
+# -- grammar fuzz --------------------------------------------------------------
+
+_JUNK = st.text(alphabet="0123456789-/:,+. xe\n", max_size=8)
+_SMALL = st.integers(-999_999, 999_999)  # long numerals are the slow path of surface analyze
+_FRACTION = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_FLAGS = ["cuspidal", "no-cuspidal", "tacnodal", "no-tacnodal", "eckardt", "no-eckardt",
+          "f1", "p1xp1"]
+_ROW_TAGS = [
+    f"{case.name}:{tag}"
+    for encoding in lemmas.LEMMA_BANK.values() for case in encoding.cases
+    for tag in case.row_tags()
+]
+
+
+def _near_minus_k(shifts: list[Fraction]) -> str:
+    """-K moved by small rationals on e1..e8: ample or not, and cheap to classify."""
+    return ",".join(["3"] + [format_rational(s / 48 - 1) for s in shifts])
+
+
+def _optional(option: str, values) -> st.SearchStrategy[list[str]]:
+    return st.one_of(st.just([]), values.map(lambda v: [option, v]))
+
+
+def _commands(junk: bool) -> dict[str, st.SearchStrategy[list[str]]]:
+    """An argv strategy per subcommand: its documented grammars, and with junk any text too."""
+
+    def token(valid):
+        return st.one_of(valid, _JUNK) if junk else valid
+
+    rational = token(st.one_of(
+        _FRACTION.map(format_rational),
+        _SMALL.map(str),
+        st.builds(lambda p, q: f"{p}/{q}", _SMALL, st.integers(1, 999_999)),
+    ))
+    cls = token(st.one_of(
+        st.lists(_FRACTION, min_size=8, max_size=8).map(_near_minus_k),
+        st.lists(rational, min_size=9, max_size=9).map(",".join),
+    ))
+    if junk:
+        cls = st.one_of(cls, st.lists(rational, max_size=12).map(",".join))
+    coeff = st.one_of(st.integers(-3, 3), _FRACTION, _SMALL).map(format_rational)
+
+    def form(degree):
+        well_formed = st.lists(token(coeff), min_size=degree + 1, max_size=degree + 1).map(
+            lambda cs: f"{degree}:" + ",".join(cs)
+        )
+        if not junk:
+            return well_formed
+        return st.one_of(well_formed, _JUNK, st.builds(
+            lambda d, cs: f"{d}:" + ",".join(cs), st.integers(-1, 8), st.lists(rational, max_size=9)
+        ))
+
+    cubic = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(lambda c: BinaryForm(3, c))
+    return {
+        "ample": cls.map(lambda v: ["ample", "--class", v]),
+        "classify": cls.map(lambda v: ["classify", "--class", v]),
+        "alpha conjecture": cls.map(lambda v: ["alpha", "conjecture", "--class", v]),
+        "alpha theorem": st.builds(
+            lambda lam, n, s, neg: ["alpha", "theorem", "--lambda", lam, "--n", n,
+                                    "--alpha-s", s] + neg,
+            rational, token(st.sampled_from(["1", "2", "3"])), rational,
+            st.sampled_from([[], ["--allow-negative-lambda"]]),
+        ),
+        "alpha table": st.builds(
+            lambda d, f: ["alpha", "table", "--degree", d] + f,
+            token(st.integers(1, 9).map(str)),
+            _optional("--flags", token(st.sampled_from(_FLAGS))),
+        ),
+        "surface analyze": st.one_of(
+            st.builds(lambda a, b, q, g: ["surface", "analyze", "--a", a, "--b", b] + q + g,
+                      form(4), form(6), _optional("--q", form(2)), _optional("--g", form(3))),
+            # b = g^2, so q = 0 and g form a section pair
+            st.builds(lambda a, g: ["surface", "analyze", "--a", a, "--b", format_form(g * g),
+                                    "--q", "2:0,0,0", "--g", format_form(g)], form(4), cubic),
+        ),
+        "counterexample": rational.map(lambda lam: ["counterexample", "--lambda", lam]),
+        "range": st.builds(lambda w, lam: ["range", w, "--lambda", lam],
+                           token(st.sampled_from(["kstable", "cylinder"])), rational),
+        "lemma verify": st.builds(
+            lambda i, probe: ["lemma", "verify", i] + probe,
+            token(st.sampled_from(lemmas.LEMMA_IDS)),
+            _optional("--probe", token(st.sampled_from(_ROW_TAGS))),
+        ),
+    }
+
+
+_GRAMMARS = {junk: _commands(junk) for junk in (False, True)}
+
+
+def _decimal(junk: bool) -> st.SearchStrategy[list[str]]:
+    digits = st.one_of(st.integers(0, 12), st.integers(0, MAX_DIGITS)).map(str)
+    return _optional("--decimal", st.one_of(digits, _JUNK) if junk else digits)
+
+
+class TestGrammarFuzz:
+    """Every input keeps the exit-code contract, in the documented grammars and outside them."""
+
+    @pytest.mark.parametrize("junk", [False, True], ids=["grammar", "junk"])
+    @pytest.mark.parametrize("command", sorted(_GRAMMARS[False]))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_contract(self, command, junk, data):
+        argv = data.draw(_GRAMMARS[junk][command]) + data.draw(_decimal(junk))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 0:
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            assert report["command"] == command and err == ""
+            return
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        if code == 1:  # a designated row whose removal leaves the system infeasible
+            assert "--probe" in argv and err.startswith("verification failure: "), err
+        else:
+            assert code == 2, err
 
 
 PICARD = {"picard"}
@@ -494,6 +707,42 @@ class TestColdProcess:
         warm = capsys.readouterr()
         assert cold.stdout == warm.out
         assert messages == warm.err.splitlines()
+
+
+class TestNames:
+    """`cli` resolves the names its handlers call through the package's table."""
+
+    @pytest.mark.parametrize("name", ["no_such_name", "_kodaira", "fme"])
+    def test_other_names_raise_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
+
+    def test_names_are_the_package_objects_in_a_fresh_interpreter(self):
+        check = (
+            "import dp1alpha, dp1alpha.cli as cli\n"
+            "assert cli.classify is dp1alpha.classify is dp1alpha.cone.classify\n"
+            "assert all(getattr(cli, n) is getattr(dp1alpha, n) for n in dp1alpha.__all__)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, env=child_env()
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_gives_status_141_and_no_traceback(self):
+        # The conic report (about 75 KB) outgrows a 64 KB pipe buffer, so the
+        # process is still writing when the reader goes away.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dp1alpha.cli", "curves", "enumerate", "--kind", "conic"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=child_env(),
+        )
+        assert child.stdout.read(16).startswith(b"{")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestParserShape:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dp1alpha.cone as cone
 import test_acceptance
@@ -25,6 +28,7 @@ from dp1alpha.cone import (
 from dp1alpha.linprog import INFEASIBLE, OPTIMAL
 from dp1alpha.picard import (
     PicardClass,
+    bertini,
     canonical_class,
     enumerate_conic_classes,
     enumerate_minus_one_classes,
@@ -456,6 +460,40 @@ def _reflected(v: PicardClass, root: PicardClass) -> PicardClass:
     return v + pairing(v, root) * root
 
 
+def _sum_e(indices) -> PicardClass:
+    return sum((E(i) for i in indices), ZERO)
+
+
+# One reflection of each root shape (e_i - e_j, H - e_i - e_j - e_k,
+# 2H - six e's, 3H - 2e_i - the other seven), or the Bertini involution.
+_WEYL_STEPS = st.one_of(
+    st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True).map(
+        lambda ij: E(ij[0]) - E(ij[1])
+    ),
+    st.lists(st.integers(1, 8), min_size=3, max_size=3, unique=True).map(
+        lambda s: H - _sum_e(s)
+    ),
+    st.lists(st.integers(1, 8), min_size=6, max_size=6, unique=True).map(
+        lambda s: 2 * H - _sum_e(s)
+    ),
+    st.integers(1, 8).map(lambda i: 3 * H - E(i) - _sum_e(range(1, 9))),
+    st.none(),
+)
+_WEYL_POOL = _criterion_10_classes(10) + PENCIL
+
+
+def _applied(word: list[PicardClass | None], v: PicardClass) -> PicardClass:
+    """v moved by each step of the word: a reflection in a root, or Bertini for None."""
+    for root in word:
+        v = bertini(v) if root is None else _reflected(v, root)
+    return v
+
+
+@lru_cache(maxsize=None)
+def _classified(a: PicardClass) -> PolarizationProfile:
+    return classify(a)
+
+
 class TestWeylInvariance:
     """W(E8) fixes K and permutes the 240 (-1)-classes, so it moves faces onto faces."""
 
@@ -485,8 +523,37 @@ class TestWeylInvariance:
                     g(e) for e in base.face_generators
                 )
 
+    @given(st.sampled_from(range(len(_WEYL_POOL))), st.lists(_WEYL_STEPS, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_every_root_shape_and_bertini(self, index, word):
+        a = _WEYL_POOL[index]
+        image = _applied(word, a)
+        assert is_ample(image)
+        base, moved = _classified(a), classify(image)
+        assert (moved.mu, moved.a, moved.delta, moved.s_A) == (
+            base.mu, base.a, base.delta, base.s_A
+        )
+        assert moved.face_generators == frozenset(
+            _applied(word, e) for e in base.face_generators
+        )
+
+    @given(st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=9, max_size=9),
+           st.lists(_WEYL_STEPS, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_ampleness_is_invariant(self, scale, shift, word):
+        v = scale * -K + PicardClass(shift)
+        assert is_ample(_applied(word, v)) is is_ample(v)
+
     def test_reflection_is_an_isometry_fixing_k(self):
         root = H - E(1) - E(4) - E(7)
+        assert pairing(root, root) == -2
+        assert _reflected(K, root) == K
+        curves = set(enumerate_minus_one_classes().members)
+        assert {_reflected(e, root) for e in curves} == curves
+
+    @pytest.mark.parametrize("root", [E(2) - E(5), 2 * H - _sum_e([1, 2, 3, 5, 6, 8]),
+                                      3 * H - E(4) - _sum_e(range(1, 9))])
+    def test_every_root_shape_is_an_isometry_fixing_k(self, root):
         assert pairing(root, root) == -2
         assert _reflected(K, root) == K
         curves = set(enumerate_minus_one_classes().members)
