@@ -4,18 +4,19 @@ Every invocation prints a single deterministic JSON report::
 
     {"command": "...", "inputs": {...}, "outputs": {...}}
 
-with keys sorted and every rational rendered exactly as ``p/q`` in lowest
-terms (``--decimal k`` adds a k-digit decimal rendering alongside, never
-replacing the exact value).  Input numerators and denominators have at most
+where ``inputs`` echoes the parsed arguments other than ``--decimal``.  Keys
+are sorted and every rational is rendered exactly as ``p/q`` in lowest terms
+(``--decimal k`` adds a k-digit decimal rendering alongside, never replacing
+the exact value).  Input numerators and denominators have at most
 ``rationals.MAX_DIGITS`` digits, and k is at most that number.
 
-Exit codes: 0 success; 1 verification failure (a lemma case that turns out
-feasible prints its report, witness included; a relaxation probe that stays
-infeasible prints nothing on stdout); 2 malformed input; 3 internal failure
-(a classification or certificate check that does not hold up).  Except for
-the feasible lemma report, stdout stays empty on 1, 2 and 3, and stderr gets
-one line.  ``entry`` exits 141, the shell's SIGPIPE status, when the reader
-closes stdout early.
+Exit codes: 0 success; 1 verification failure (a report whose outputs say
+``"verified": false``, printed with the feasible case's witness; a relaxation
+probe that stays infeasible prints nothing on stdout); 2 malformed input;
+3 internal failure (a classification or certificate check that does not hold
+up).  Except for that lemma report, stdout stays empty on 1, 2 and 3, and
+stderr gets one line.  ``entry`` exits 141, the shell's SIGPIPE status, when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _profile_json(profile: PolarizationProfile) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (inputs echo, outputs, exit code); rationals stay Fractions
+# Handlers: each returns its outputs; rationals stay Fractions
 # ---------------------------------------------------------------------------
 
 def _handle_curves_enumerate(args):
@@ -100,54 +101,39 @@ def _handle_curves_enumerate(args):
         members = _cli.enumerate_minus_one_classes().members
     else:
         members = _cli.enumerate_conic_classes().members
-    outputs = {
+    return {
         "count": len(members),
         "classes": [_cli.format_class(v) for v in sorted(members)],
     }
-    return {"kind": args.kind}, outputs, 0
 
 
 def _handle_ample(args):
-    v = _cli.parse_class(args.cls)
-    outputs = {"class": _cli.format_class(v), "ample": _cli.is_ample(v)}
-    return {"class": args.cls}, outputs, 0
+    v = _cli.parse_class(getattr(args, "class"))
+    return {"class": _cli.format_class(v), "ample": _cli.is_ample(v)}
 
 
 def _handle_classify(args):
-    v = _cli.parse_class(args.cls)
-    profile = _cli.classify(v)
-    outputs = {"class": _cli.format_class(v), "profile": _profile_json(profile)}
-    return {"class": args.cls}, outputs, 0
+    v = _cli.parse_class(getattr(args, "class"))
+    return {"class": _cli.format_class(v), "profile": _profile_json(_cli.classify(v))}
 
 
 def _handle_alpha_conjecture(args):
-    v = _cli.parse_class(args.cls)
-    profile = _cli.classify(v)
-    outputs = {"alpha_c": _cli.alpha_conjecture(profile), "profile": _profile_json(profile)}
-    return {"class": args.cls}, outputs, 0
+    profile = _cli.classify(_cli.parse_class(getattr(args, "class")))
+    return {"alpha_c": _cli.alpha_conjecture(profile), "profile": _profile_json(profile)}
 
 
 def _handle_alpha_theorem(args):
-    lam = parse_rational(args.lam)
+    lam = parse_rational(getattr(args, "lambda"))
     if lam < 0 and not args.allow_negative_lambda:
         raise ValueError(
             "negative lambda is gated behind --allow-negative-lambda "
             "(the default range is 0 <= lambda < 1)"
         )
-    value = _cli.alpha_theorem(lam, args.n, parse_rational(args.alpha_s))
-    inputs = {
-        "lambda": args.lam,
-        "n": args.n,
-        "alpha_s": args.alpha_s,
-        "allow_negative_lambda": args.allow_negative_lambda,
-    }
-    return inputs, {"alpha": value}, 0
+    return {"alpha": _cli.alpha_theorem(lam, args.n, parse_rational(args.alpha_s))}
 
 
 def _handle_alpha_table(args):
-    value = _cli.alpha_del_pezzo(args.degree, args.flags)
-    inputs = {"degree": args.degree, "flags": args.flags}
-    return inputs, {"alpha": value}, 0
+    return {"alpha": _cli.alpha_del_pezzo(args.degree, args.flags)}
 
 
 def _handle_surface_analyze(args):
@@ -171,42 +157,30 @@ def _handle_surface_analyze(args):
         }
         for p in pairs
     ]
-    inputs = {"a": args.a, "b": args.b, "q": args.q, "g": args.g}
-    return inputs, outputs, 0
+    return outputs
 
 
 def _handle_counterexample(args):
-    report = _cli.counterexample_report(parse_rational(args.lam))
-    outputs = {
+    report = _cli.counterexample_report(parse_rational(getattr(args, "lambda")))
+    return {
         "alpha": report.alpha,
         "alpha_c": report.alpha_c,
         "conjecture_violated": report.conjecture_violated,
     }
-    return {"lambda": args.lam}, outputs, 0
 
 
 def _handle_range(args):
-    lam = parse_rational(args.lam)
+    lam = parse_rational(getattr(args, "lambda"))
     if args.window == "kstable":
-        contains = _cli.kstable_range_contains(lam)
-    else:
-        contains = _cli.cylinder_range_contains(lam)
-    inputs = {"window": args.window, "lambda": args.lam}
-    return inputs, {"contains": contains}, 0
+        return {"contains": _cli.kstable_range_contains(lam)}
+    return {"contains": _cli.cylinder_range_contains(lam)}
 
 
 def _handle_lemma_verify(args):
-    inputs = {"lemma": args.lemma_id, "probe": args.probe}
     if args.probe is not None:
-        witness = _cli.relaxation_probe(args.lemma_id, args.probe)
-        outputs = {
-            "lemma": args.lemma_id,
-            "probe": args.probe,
-            "feasible": True,
-            "witness": witness,
-        }
-        return inputs, outputs, 0
-    report = _cli.verify_lemma(args.lemma_id)
+        witness = _cli.relaxation_probe(args.lemma, args.probe)
+        return {"lemma": args.lemma, "probe": args.probe, "feasible": True, "witness": witness}
+    report = _cli.verify_lemma(args.lemma)
     cases = []
     for case in report.cases:
         entry_json: dict[str, Any] = {"name": case.name, "infeasible": case.infeasible}
@@ -218,8 +192,7 @@ def _handle_lemma_verify(args):
         if case.witness is not None:
             entry_json["witness"] = case.witness
         cases.append(entry_json)
-    outputs = {"lemma": args.lemma_id, "verified": report.verified, "cases": cases}
-    return inputs, outputs, 0 if report.verified else 1
+    return {"lemma": args.lemma, "verified": report.verified, "cases": cases}
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("minus-one", "conic"), default="minus-one",
         help="which family to enumerate (default: minus-one)",
     )
-    enum.set_defaults(handler=_handle_curves_enumerate, command_path="curves enumerate")
+    enum.set_defaults(handler=_handle_curves_enumerate)
 
     ample = top.add_parser("ample", parents=[common], help="test ampleness of a class")
     ample.add_argument(
-        "--class", dest="cls", required=True, metavar="C0,...,C8",
+        "--class", required=True, metavar="C0,...,C8",
         help="nine comma-separated rationals",
     )
-    ample.set_defaults(handler=_handle_ample, command_path="ample")
+    ample.set_defaults(handler=_handle_ample)
 
     cls_cmd = top.add_parser(
         "classify", parents=[common], help="type and coefficients of an ample class"
     )
     cls_cmd.add_argument(
-        "--class", dest="cls", required=True, metavar="C0,...,C8",
+        "--class", required=True, metavar="C0,...,C8",
         help="nine comma-separated rationals; must be ample",
     )
-    cls_cmd.set_defaults(handler=_handle_classify, command_path="classify")
+    cls_cmd.set_defaults(handler=_handle_classify)
 
     alpha = top.add_parser("alpha", help="alpha-invariant calculators")
     alpha_sub = alpha.add_subparsers(dest="subcommand", required=True)
@@ -295,25 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="conjectural nine-branch formula on an ample class",
     )
     conj.add_argument(
-        "--class", dest="cls", required=True, metavar="C0,...,C8",
+        "--class", required=True, metavar="C0,...,C8",
         help="nine comma-separated rationals; must be ample",
     )
-    conj.set_defaults(handler=_handle_alpha_conjecture, command_path="alpha conjecture")
+    conj.set_defaults(handler=_handle_alpha_conjecture)
 
     theorem = alpha_sub.add_parser(
         "theorem", parents=[common],
         help="proven formula for -K + lambda*C on a degree-one surface",
     )
-    theorem.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
+    theorem.add_argument("--lambda", required=True, metavar="P/Q")
     theorem.add_argument("--n", type=int, choices=(1, 2, 3), required=True,
                          help="number of distinct points where the sections meet")
-    theorem.add_argument("--alpha-s", dest="alpha_s", required=True, metavar="P/Q",
+    theorem.add_argument("--alpha-s", required=True, metavar="P/Q",
                          help="global alpha of the surface, in (0, 1]")
     theorem.add_argument(
         "--allow-negative-lambda", action="store_true",
         help="extend the default range [0, 1) down to (-1/3, 1)",
     )
-    theorem.set_defaults(handler=_handle_alpha_theorem, command_path="alpha theorem")
+    theorem.set_defaults(handler=_handle_alpha_theorem)
 
     table = alpha_sub.add_parser(
         "table", parents=[common],
@@ -325,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric flag for degrees 1, 2, 3, 8 "
         "(cuspidal/no-cuspidal, tacnodal/no-tacnodal, eckardt/no-eckardt, f1/p1xp1)",
     )
-    table.set_defaults(handler=_handle_alpha_table, command_path="alpha table")
+    table.set_defaults(handler=_handle_alpha_table)
 
     surface = top.add_parser("surface", help="Weierstrass-model analysis")
     surface_sub = surface.add_subparsers(dest="subcommand", required=True)
@@ -341,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="optional section datum q (with --g)")
     analyze.add_argument("--g", default=None, metavar="3:C0,...,C3",
                          help="optional section datum g (with --q)")
-    analyze.set_defaults(handler=_handle_surface_analyze, command_path="surface analyze")
+    analyze.set_defaults(handler=_handle_surface_analyze)
 
     ce = top.add_parser(
         "counterexample", parents=[common],
         help="proven alpha against the conjectural formula at -K + lambda*C",
     )
-    ce.add_argument("--lambda", dest="lam", required=True, metavar="P/Q",
+    ce.add_argument("--lambda", required=True, metavar="P/Q",
                     help="rational in [0, 1)")
-    ce.set_defaults(handler=_handle_counterexample, command_path="counterexample")
+    ce.set_defaults(handler=_handle_counterexample)
 
     rng = top.add_parser("range", parents=[common], help="interval membership tests")
     rng.add_argument("window", choices=("kstable", "cylinder"))
-    rng.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
-    rng.set_defaults(handler=_handle_range, command_path="range")
+    rng.add_argument("--lambda", required=True, metavar="P/Q")
+    rng.set_defaults(handler=_handle_range)
 
     lemma = top.add_parser("lemma", help="certified inequality lemmas")
     lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
@@ -363,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify one lemma, or run a designated relaxation probe",
     )
     verify.add_argument(
-        "lemma_id", metavar="LEMMA_ID",
+        "lemma", metavar="LEMMA_ID",
         help="a lemma id such as local-1; README.md lists them, "
         "and an unknown id exits 2 with the list",
     )
@@ -371,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe", default=None, metavar="CASE:ROW",
         help="drop the named row and exhibit a feasible witness instead",
     )
-    verify.set_defaults(handler=_handle_lemma_verify, command_path="lemma verify")
+    verify.set_defaults(handler=_handle_lemma_verify)
 
     return parser
 
@@ -420,7 +393,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        inputs, outputs, code = args.handler(args)
+        outputs = args.handler(args)
     except _probe_error() as exc:  # a RuntimeError, so it comes first
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
@@ -430,12 +403,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (AssertionError, RuntimeError) as exc:
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report = {"command": args.command_path, "inputs": inputs, "outputs": outputs}
+    command = " ".join(vars(args)[key] for key in ("command", "subcommand") if key in args)
+    inputs = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "subcommand", "handler", "decimal")
+    }
+    report = {"command": command, "inputs": inputs, "outputs": outputs}
     print(json.dumps(
         report, indent=2, sort_keys=True,
         default=lambda value: _render_rational(value, args.decimal),
     ))
-    return code
+    return 1 if outputs.get("verified") is False else 0
 
 
 def entry() -> None:

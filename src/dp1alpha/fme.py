@@ -230,8 +230,7 @@ def _pick_variable(rows: list[_Row], width: int) -> int:
 def _choose_value(
     lower: tuple[Fraction, bool] | None, upper: tuple[Fraction, bool] | None
 ) -> Fraction:
-    if lower is None and upper is None:
-        return Fraction(0)
+    """A value between the bounds; one at least is set, as every stage row has the variable."""
     if upper is None:
         value, strict = lower
         return value + 1 if strict else value

@@ -54,9 +54,6 @@ class PicardClass:
         """The H coordinate."""
         return self.coeffs[0]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- plumbing ---------------------------------------------------------
     def __eq__(self, other) -> bool:
         return isinstance(other, PicardClass) and self.coeffs == other.coeffs

@@ -248,12 +248,7 @@ def parse_form(text: str) -> BinaryForm:
         degree = int(head)
     except ValueError as exc:
         raise ValueError(f"bad form degree {head!r}") from exc
-    coeffs = [parse_rational(c) for c in tail.split(",")]
-    if len(coeffs) != degree + 1:
-        raise ValueError(
-            f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
-        )
-    return BinaryForm(degree, coeffs)
+    return BinaryForm(degree, [parse_rational(c) for c in tail.split(",")])
 
 
 def format_form(form: BinaryForm) -> str:

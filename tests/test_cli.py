@@ -267,6 +267,9 @@ class TestExitCodes:
             ["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1",
              "--q", "2:0,0,0", "--g", "3:1,0,0,1"],  # not a section
             ["surface", "analyze", "--a", "4:0,0,0,0,0", "--b", "6:0,0,0,0,0,0,0"],
+            ["surface", "analyze", "--a", "x:1", "--b", "6:0,0,0,0,0,0,1"],  # bad degree
+            ["surface", "analyze", "--a", "3:1,0,0,0", "--b", "6:0,0,0,0,0,0,1"],  # cubic a
+            ["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "5:0,0,0,0,0,1"],  # quintic b
             ["lemma", "verify", "local-99"],
             ["lemma", "verify", "local-1", "--probe", "nonsense"],
             ["lemma", "verify", "local-1", "--probe", "main:no-such-row"],
@@ -746,10 +749,14 @@ class TestClosedPipe:
 
 
 class TestParserShape:
-    def test_build_parser_is_reusable(self):
+    def test_build_parser_is_reusable(self, capsys):
         parser = build_parser()
-        args = parser.parse_args(["curves", "enumerate"])
-        assert args.command_path == "curves enumerate"
+        first = parser.parse_args(["curves", "enumerate"])
+        second = parser.parse_args(["curves", "enumerate", "--kind", "conic"])
+        assert (first.kind, second.kind) == ("minus-one", "conic")
+        assert first.handler is second.handler
+        code, report, _ = invoke(capsys, ["curves", "enumerate"])
+        assert code == 0 and report["command"] == "curves enumerate"
 
     def test_console_script_runs(self):
         result = subprocess.run(

@@ -117,6 +117,28 @@ class TestBasicOutcomes:
         cert = FarkasCertificate((Fraction(1), Fraction(1)), frozenset())
         assert not check_certificate(system, cert)
 
+    def test_rows_that_do_not_cancel_rejected(self):
+        # x <= 1 and x >= 2: only equal weights cancel x; 1*(x <= 1) + 2*(-x <= -2)
+        # gives -x <= -3, which is no contradiction although its rhs is negative
+        system = _system(["x"], [((1,), LE, 1), ((-1,), LE, -2)])
+        uneven = FarkasCertificate((Fraction(1), Fraction(2)), frozenset())
+        assert not check_certificate(system, uneven)
+        even = FarkasCertificate((Fraction(1), Fraction(1)), frozenset())
+        assert check_certificate(system, even)
+
+    def test_lemma_certificate_with_one_multiplier_scaled_rejected(self):
+        case = lemmas.get_encoding("local-1").cases[0]
+        certificate = lemmas.verify_lemma("local-1").cases[0].certificate
+        weights = list(certificate.multipliers)
+        # a row with rhs 0, so the scaled sum keeps its contradictory rhs
+        index = next(
+            i for i, (w, row) in enumerate(zip(weights, case.rows)) if w > 0 and row.rhs == 0
+        )
+        weights[index] *= 2
+        scaled = FarkasCertificate(tuple(weights), certificate.strict_indices)
+        assert check_certificate(case.system(), certificate)
+        assert not check_certificate(case.system(), scaled)
+
 
 class TestEqualityRows:
     def test_infeasible_with_equality(self):

@@ -1,8 +1,15 @@
 """Tests for the machine-checked lemma bank and log-canonicity helpers."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from sympy.parsing.sympy_parser import (
+    implicit_multiplication,
+    parse_expr,
+    standard_transformations,
+)
 
 from dp1alpha.fme import LE, LT, check_certificate
 from dp1alpha.lemmas import (
@@ -42,6 +49,27 @@ def _row_holds(row, witness):
     return total < row.rhs if row.relation == LT else total <= row.rhs
 
 
+_NOTE_GRAMMAR = standard_transformations + (implicit_multiplication,)
+
+
+def _note_row(note, variables):
+    """The inequality before ':' in a note as (coefficients, relation, rhs) in <= / < form.
+
+    It reads lhs - rhs, negated for > and >=, and moves the constant to the right.
+    """
+    lhs, relation, rhs = re.match(r"([^<>]+)(<=|<|>=|>)([^:]+)", note).groups()
+    names = {v: sympy.Symbol(v) for v in variables}
+
+    def parse(text):
+        return parse_expr(text, local_dict=names, transformations=_NOTE_GRAMMAR)
+
+    sign = -1 if relation.startswith(">") else 1
+    terms = (sign * (parse(lhs) - parse(rhs))).as_coefficients_dict()
+    assert set(terms) <= {1, *names.values()}, note  # linear in the case's variables
+    coeffs = {v: F(str(terms[names[v]])) for v in variables if terms[names[v]]}
+    return coeffs, LT if relation in ("<", ">") else LE, -F(str(terms[1]))
+
+
 class TestBankShape:
     def test_bank_lists_twelve_lemmas(self):
         assert LEMMA_IDS == tuple(EXPECTED_CASES)
@@ -65,6 +93,15 @@ class TestBankShape:
                 tags = set(case.row_tags())
                 for var in case.variables:
                     assert f"nonneg-{var}" in tags
+
+    def test_each_note_states_its_row(self):
+        # readers audit the note; the prover reads the coefficients
+        for lemma_id in LEMMA_IDS:
+            for case in get_encoding(lemma_id).cases:
+                for row in case.rows:
+                    coeffs = {v: c for v, c in row.coeffs if c}
+                    expected = (coeffs, row.relation, row.rhs)
+                    assert _note_row(row.note, case.variables) == expected, row.note
 
     def test_unknown_lemma_id_rejected(self):
         with pytest.raises(ValueError):
