@@ -19,7 +19,6 @@ from importlib import import_module
 _EXPORTS = {
     "alpha": (
         "CounterexampleReport",
-        "QuadraticBound",
         "alpha_conjecture",
         "alpha_del_pezzo",
         "alpha_theorem",

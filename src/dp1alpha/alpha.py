@@ -9,8 +9,9 @@ Covers four calculators and their comparison:
 * ``alpha_del_pezzo`` -- the anticanonical alpha of a smooth del Pezzo
   surface by degree and geometric flag,
 * ``kstable_range_contains`` / ``cylinder_range_contains`` -- exact interval
-  membership for the K-stability window (quadratic-irrational endpoints) and
-  the cylinder-free window,
+  membership for the K-stability window [3 - sqrt(10), (sqrt(10) - 1)/9],
+  decided by squaring each endpoint inequality, and the cylinder-free window
+  [-1/4, 1/3],
 
 plus ``upper_bound_witnesses`` (explicit divisors certifying upper bounds)
 and ``counterexample_report`` (the proven value against the conjectural one
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from .cone import F1, P2, P1XP1, PolarizationProfile, classify
 from .picard import PicardClass, canonical_class, exceptional_class
@@ -32,26 +32,6 @@ from .picard import PicardClass, canonical_class, exceptional_class
 # `lemmas` and `weierstrass` are imported inside their only users,
 # `upper_bound_witnesses` and `_quartic_sextic_surface_data`, so a command
 # that needs neither does not load them (importing `lemmas` builds its bank).
-
-__all__ = [
-    "CounterexampleReport",
-    "CYLINDER_LOWER",
-    "CYLINDER_UPPER",
-    "KSTABLE_LOWER",
-    "KSTABLE_UPPER",
-    "QuadraticBound",
-    "alpha_conjecture",
-    "alpha_del_pezzo",
-    "alpha_theorem",
-    "counterexample_report",
-    "cylinder_range_contains",
-    "example_polarization",
-    "kstable_range_contains",
-    "upper_bound_witnesses",
-]
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +141,7 @@ def alpha_del_pezzo(degree: int, flags: str | None = None) -> Fraction:
     possible values ("cuspidal"/"no-cuspidal", "tacnodal"/"no-tacnodal",
     "eckardt"/"no-eckardt", "f1"/"p1xp1"); the other degrees take none.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ValueError("degree must be an integer between 1 and 9")
-    if not 1 <= degree <= 9:
+    if not isinstance(degree, int) or isinstance(degree, bool) or not 1 <= degree <= 9:
         raise ValueError("degree must be an integer between 1 and 9")
     if degree in _FLAGGED_DEGREES:
         table = _FLAGGED_DEGREES[degree]
@@ -183,43 +161,8 @@ def alpha_del_pezzo(degree: int, flags: str | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact interval membership with quadratic-irrational endpoints
+# Exact interval membership
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticBound:
-    """The exact real number p + q*sqrt(r), with r a positive non-square int."""
-
-    p: Fraction
-    q: Fraction
-    r: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r <= 0:
-            raise ValueError("r must be a positive integer")
-        if isqrt(self.r) ** 2 == self.r:
-            raise ValueError("r must not be a perfect square")
-
-    def compare_to(self, t: Fraction | int | str) -> int:
-        """Sign of (p + q*sqrt(r)) - t, decided by sign analysis and squaring."""
-        c = self.p - Fraction(t)  # compare q*sqrt(r) against -c
-        if self.q == 0:
-            return _sign(c)
-        if self.q > 0:
-            if c >= 0:
-                return 1
-            return _sign(self.q * self.q * self.r - c * c)
-        if c <= 0:
-            return -1
-        return _sign(c * c - self.q * self.q * self.r)
-
-
-#: Endpoints of the closed K-stability window [3 - sqrt(10), (sqrt(10) - 1)/9].
-KSTABLE_LOWER = QuadraticBound(Fraction(3), Fraction(-1), 10)
-KSTABLE_UPPER = QuadraticBound(Fraction(-1, 9), Fraction(1, 9), 10)
 
 #: Endpoints of the closed cylinder-free window [-1/4, 1/3].
 CYLINDER_LOWER = Fraction(-1, 4)
@@ -227,9 +170,15 @@ CYLINDER_UPPER = Fraction(1, 3)
 
 
 def kstable_range_contains(lam: Fraction | int | str) -> bool:
-    """Whether lam lies in the closed window [3 - sqrt(10), (sqrt(10) - 1)/9]."""
+    """Whether lam lies in the closed window [3 - sqrt(10), (sqrt(10) - 1)/9].
+
+    Squaring each endpoint inequality gives (3 - lam)^2 <= 10, that is
+    3 - sqrt(10) <= lam <= 3 + sqrt(10), and (9*lam + 1)^2 <= 10, that is
+    (-1 - sqrt(10))/9 <= lam <= (sqrt(10) - 1)/9.  Their intersection is the
+    window, because (-1 - sqrt(10))/9 < 3 - sqrt(10) and (sqrt(10) - 1)/9 < 3.
+    """
     lam = Fraction(lam)
-    return KSTABLE_LOWER.compare_to(lam) <= 0 <= KSTABLE_UPPER.compare_to(lam)
+    return (3 - lam) ** 2 <= 10 and (9 * lam + 1) ** 2 <= 10
 
 
 def cylinder_range_contains(lam: Fraction | int | str) -> bool:

@@ -103,18 +103,18 @@ def _pivot(tableau: list[list[int]], z: _CostRow, basis: list[int], row: int, co
     basis[row] = col
 
 
-def _run_simplex(tableau: list[list[int]], z: _CostRow, basis: list[int], banned: int) -> bool:
+def _run_simplex(tableau: list[list[int]], z: _CostRow, basis: list[int]) -> bool:
     """Minimize until no negative reduced cost remains.
 
-    ``banned`` is the first column index that may never enter the basis
-    (used to freeze artificial columns in phase 2).  Returns False when an
+    Every column of the tableau may enter the basis; phase 2 runs on a
+    tableau whose artificial columns are already cut.  Returns False when an
     improving column has no blocking row, i.e. the LP is unbounded.
     """
     ncols = len(z.row) - 1
     while True:
         z_row = z.row
         entering = -1
-        for j in range(min(ncols, banned)):
+        for j in range(ncols):
             if z_row[j] < 0:
                 entering = j
                 break
@@ -196,7 +196,7 @@ def solve(problem: LPProblem) -> LPResult:
 
     basis = [columns + i for i in range(m)]
     z = _reduced_costs(tableau, basis, [0] * columns + [1] * m)
-    if not _run_simplex(tableau, z, basis, columns + m):
+    if not _run_simplex(tableau, z, basis):
         raise AssertionError("phase 1 objective is bounded below by zero")
 
     if z.row[-1] < 0:  # leftover artificial mass: infeasible
@@ -226,7 +226,7 @@ def solve(problem: LPProblem) -> LPResult:
     basis = [basis[i] for i in keep_rows]
 
     z = _reduced_costs(tableau, basis, cost)
-    if not _run_simplex(tableau, z, basis, columns):
+    if not _run_simplex(tableau, z, basis):
         return LPResult(status=UNBOUNDED)
 
     zero = Fraction(0)

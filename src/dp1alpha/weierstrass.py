@@ -11,9 +11,10 @@ and keeps `resultant` as a public function.  All computations are exact.
 Forms carry rational coefficients, but the root questions run on integers:
 `rationals.clear` scales a form to integers, polynomials are kept primitive
 (content divided out, positive leading coefficient), gcds come from the
-primitive remainder sequence, quotients by primitive divisors are exact in
-Z[x], the discriminant is one integer multiple of 4a^3 + 27b^2, and the
-resultant is a fraction-free (Bareiss) Sylvester determinant.
+primitive remainder sequence, divisibility is a zero remainder of
+fraction-free long division, the discriminant is one integer multiple of
+4a^3 + 27b^2, and the resultant is a fraction-free (Bareiss) Sylvester
+determinant.
 """
 
 from __future__ import annotations
@@ -74,21 +75,17 @@ def _mul(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
-def _divmod(
-    p: tuple[int, ...], q: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(quot, rem) with s*p = quot*q + rem for an integer s > 0 and deg rem < deg q.
+def _rem(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """rem with s*p = t*q + rem for an integer s > 0, some t in Z[x], deg rem < deg q.
 
     Long division that scales the running remainder only when the leading
-    coefficient of q does not divide its top coefficient, so s = 1 whenever
-    q divides p in Z[x].  For a primitive q that is whenever q divides p over
-    Q (Gauss's lemma), and the quotient is then exact.
+    coefficient of q does not divide its top coefficient.  The remainder is
+    zero exactly when q divides p over Q.
     """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     lead, shift = q[-1], len(q) - 1
     rem = list(p)
-    quot = [0] * max(len(p) - shift, 0)
     for top in range(len(rem) - 1, shift - 1, -1):
         c = rem[top]
         if not c:
@@ -96,33 +93,23 @@ def _divmod(
         if c % lead:
             scale = abs(lead) // gcd(c, lead)
             rem = [scale * r for r in rem]
-            quot = [scale * t for t in quot]
             c *= scale
         factor = c // lead
         base = top - shift
-        quot[base] = factor
         rem[base:top] = [r - factor * b for r, b in zip(rem[base:top], q)]
-    return _trim(tuple(quot)), _trim(tuple(rem[:shift]))
+    return _trim(tuple(rem[:shift]))
 
 
 def _gcd(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd by the primitive remainder sequence (Collins 1967)."""
     p, q = _primitive(p), _primitive(q)
     while q:
-        p, q = q, _primitive(_divmod(p, q)[1])
+        p, q = q, _primitive(_rem(p, q))
     return p
 
 
 def _derivative(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(p))[1:]
-
-
-def _squarefree(p: tuple) -> tuple[int, ...]:
-    """Primitive squarefree part of p; p may have rational coefficients."""
-    p = _primitive(clear(p)[1])
-    if _deg(p) < 1:
-        return p
-    return _divmod(p, _gcd(p, _derivative(p)))[0]  # exact, and primitive
 
 
 def _finite(coeffs: tuple) -> tuple[tuple[int, ...], int]:
@@ -179,18 +166,6 @@ class BinaryForm:
     # -- structure ---------------------------------------------------------
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def finite_part(self) -> tuple[tuple[Fraction, ...], int]:
-        """Dehomogenization (F(u) = f(u, 1), multiplicity of the root [1:0]).
-
-        The form is y^m * (homogenization of F); F is returned lowest degree
-        first.  Must not be called on the zero form.
-        """
-        if self.is_zero():
-            raise ValueError("the zero form has no root structure")
-        m_inf = next(i for i, c in enumerate(self.coeffs) if c != 0)
-        # coeffs[i] multiplies x^(d-i); as a polynomial in u that is u^(d-i)
-        return self.coeffs[m_inf:][::-1], m_inf
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
@@ -273,11 +248,14 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
 
 
 def distinct_root_count(f: BinaryForm) -> int:
-    """Number of distinct projective roots over the complex numbers."""
+    """Number of distinct projective roots over the complex numbers.
+
+    F = f(u, 1) has deg F - deg gcd(F, F') distinct roots, and [1:0] adds one.
+    """
     if f.is_zero():
         raise ValueError("the zero form has no root count")
     poly, m_inf = _finite(f.coeffs)
-    return _deg(_squarefree(poly)) + (1 if m_inf >= 1 else 0)
+    return _deg(poly) - _deg(_gcd(poly, _derivative(poly))) + (1 if m_inf >= 1 else 0)
 
 
 def _discriminant(a: BinaryForm, b: BinaryForm) -> tuple[tuple[int, ...], int]:
@@ -336,7 +314,7 @@ def _kodaira(surface: WeierstrassSurface) -> tuple[bool, bool]:
         return False, False
     if not surface.a.is_zero():
         a_poly, a_inf = _finite(surface.a.coeffs)
-        if _divmod(a_poly, g_poly)[1] or (d_inf == 2 and a_inf == 0):
+        if _rem(a_poly, g_poly) or (d_inf == 2 and a_inf == 0):
             return False, False
     return True, _deg(g_poly) > 0 or d_inf == 2
 

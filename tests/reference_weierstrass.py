@@ -74,6 +74,16 @@ def _squarefree(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return _divmod(p, _gcd(p, _derivative(p)))[0]
 
 
+def _finite_part(form: BinaryForm) -> tuple[tuple[Fraction, ...], int]:
+    """(F, m) with the nonzero form equal to y^m times the homogenization of F.
+
+    F(u) = f(u, 1) is returned lowest degree first: coeffs[i] multiplies
+    x^(d-i), which dehomogenizes to u^(d-i).
+    """
+    m_inf = next(i for i, c in enumerate(form.coeffs) if c)
+    return form.coeffs[m_inf:][::-1], m_inf
+
+
 def _divides(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> bool:
     """True iff p divides q (the zero polynomial is divisible by anything)."""
     if not q:
@@ -119,7 +129,7 @@ def distinct_root_count(f: BinaryForm) -> int:
     """Number of distinct projective roots over the complex numbers."""
     if f.is_zero():
         raise ValueError("the zero form has no root count")
-    poly, m_inf = f.finite_part()
+    poly, m_inf = _finite_part(f)
     return _deg(_squarefree(poly)) + (1 if m_inf >= 1 else 0)
 
 
@@ -146,7 +156,7 @@ def is_smooth(surface: WeierstrassSurface) -> bool:
     with Delta/R^2 coprime to R, R | a, R | b and b/R coprime to R.
     """
     delta = discriminant(surface)
-    d_poly, d_inf = delta.finite_part()
+    d_poly, d_inf = _finite_part(delta)
 
     r_poly = _squarefree(_gcd(d_poly, _derivative(d_poly)))
     r_inf = 1 if d_inf >= 2 else 0
@@ -161,13 +171,13 @@ def is_smooth(surface: WeierstrassSurface) -> bool:
         return False
 
     if not surface.a.is_zero():
-        a_poly, a_inf = surface.a.finite_part()
+        a_poly, a_inf = _finite_part(surface.a)
         if not _divides(r_poly, a_poly) or r_inf > a_inf:
             return False
 
     if surface.b.is_zero():
         return False
-    b_poly, b_inf = surface.b.finite_part()
+    b_poly, b_inf = _finite_part(surface.b)
     if not _divides(r_poly, b_poly) or r_inf > b_inf:
         return False
     b_cofactor = _divmod(b_poly, r_poly)[0]
@@ -188,7 +198,7 @@ def _form_square_root(form: BinaryForm) -> BinaryForm | None:
     """A rational form g with g^2 = form, or None; g normalized to positive lead."""
     if form.is_zero() or form.degree % 2 != 0:
         return None
-    poly, m_inf = form.finite_part()
+    poly, m_inf = _finite_part(form)
     if m_inf % 2 != 0 or _deg(poly) % 2 != 0:
         return None
     half = _deg(poly) // 2

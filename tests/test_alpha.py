@@ -2,17 +2,13 @@
 
 from fractions import Fraction
 from math import isqrt
-import random
 
 import pytest
 
 from dp1alpha.alpha import (
     CYLINDER_LOWER,
     CYLINDER_UPPER,
-    KSTABLE_LOWER,
-    KSTABLE_UPPER,
     CounterexampleReport,
-    QuadraticBound,
     alpha_conjecture,
     alpha_del_pezzo,
     alpha_theorem,
@@ -44,7 +40,7 @@ def profile(tag, a, delta=F(0), mu=F(1)):
 
 
 # ---------------------------------------------------------------------------
-# 50-digit square-root interval oracle (independent of QuadraticBound)
+# 50-digit square-root interval oracle (independent of kstable_range_contains)
 # ---------------------------------------------------------------------------
 
 
@@ -275,48 +271,57 @@ class TestAlphaDelPezzo:
 
 
 # ---------------------------------------------------------------------------
-# QuadraticBound and the two windows
+# The two windows
 # ---------------------------------------------------------------------------
 
 
-class TestQuadraticBound:
-    @pytest.mark.parametrize("r", [0, -2, 4, 9, 16, 100])
-    def test_r_must_be_positive_non_square(self, r):
-        with pytest.raises(ValueError):
-            QuadraticBound(F(1), F(1), r)
+def oracle_kstable(lam: Fraction, digits: int = 60) -> bool:
+    """Membership in [3 - sqrt(10), (sqrt(10) - 1)/9] by interval arithmetic."""
+    lo, hi = sqrt_bounds(10, digits)
+    if 3 - lo <= lam <= (lo - 1) / 9:
+        return True
+    if lam < 3 - hi or lam > (hi - 1) / 9:
+        return False
+    raise AssertionError(f"{digits} digits do not decide {lam}")
 
-    def test_rational_case_q_zero(self):
-        b = QuadraticBound(F(3, 7), F(0), 2)
-        assert b.compare_to(F(3, 7)) == 0
-        assert b.compare_to(F(2, 7)) == 1
-        assert b.compare_to(F(4, 7)) == -1
 
-    def test_reference_sign_computations(self):
-        # 3 - sqrt(10) against -1/6: (3 + 1/6)^2 = 361/36 > 10
-        assert KSTABLE_LOWER.compare_to(F(-1, 6)) == 1
-        # (sqrt(10) - 1)/9 against 1/4: (9/4 + 1)^2 = 169/16 > 10
-        assert KSTABLE_UPPER.compare_to(F(1, 4)) == -1
+class TestKStableEndpoints:
+    def test_near_endpoint_rationals_agree_with_oracle(self):
+        # rationals 10^-k on either side of each endpoint, k = 1..40; the
+        # 60-digit approximations sit within 10^-60 of the true endpoints
+        lo, _ = sqrt_bounds(10, 60)
+        lower, upper = 3 - lo, (lo - 1) / 9
+        for k in range(1, 41):
+            eps = F(1, 10**k)
+            for lam, inside in (
+                (lower - eps, False),
+                (lower + eps, True),
+                (upper - eps, True),
+                (upper + eps, False),
+            ):
+                assert oracle_kstable(lam) is inside
+                assert kstable_range_contains(lam) is inside
 
-    def test_agrees_with_interval_oracle_on_random_sample(self):
-        rng = random.Random(20260816)
-        non_squares = [2, 3, 5, 6, 7, 8, 10, 11, 12, 13]
-        for _ in range(300):
-            r = rng.choice(non_squares)
-            p = F(rng.randint(-12, 12), rng.randint(1, 9))
-            q = F(rng.randint(-12, 12), rng.randint(1, 9))
-            t = F(rng.randint(-40, 40), rng.randint(1, 9))
-            bound = QuadraticBound(p, q, r)
-            assert bound.compare_to(t) == oracle_sign(p, q, r, t)
+    def test_thousandths_bracket_the_endpoints(self):
+        # 3 - sqrt(10) is about -0.16228 and (sqrt(10) - 1)/9 about 0.24037
+        for lam, inside in (
+            (F(-163, 1000), False),
+            (F(-162, 1000), True),
+            (F(240, 1000), True),
+            (F(241, 1000), False),
+        ):
+            assert oracle_kstable(lam) is inside
+            assert kstable_range_contains(lam) is inside
 
-    def test_endpoint_values_bracket_correctly(self):
-        lo, hi = sqrt_bounds(10)
-        # lower endpoint 3 - sqrt(10) is about -0.1623
-        assert 3 - hi < F(-162, 1000) < F(-163, 1000) + F(1, 500)
-        assert KSTABLE_LOWER.compare_to(F(-163, 1000)) == 1
-        assert KSTABLE_LOWER.compare_to(F(-162, 1000)) == -1
-        # upper endpoint (sqrt(10) - 1)/9 is about 0.24037
-        assert KSTABLE_UPPER.compare_to(F(240, 1000)) == 1
-        assert KSTABLE_UPPER.compare_to(F(241, 1000)) == -1
+    def test_window_sits_inside_cylinder_window(self):
+        # -1/4 < 3 - sqrt(10) and (sqrt(10) - 1)/9 < 1/3
+        assert oracle_sign(F(3), F(-1), 10, CYLINDER_LOWER) == 1
+        assert oracle_sign(F(-1, 9), F(1, 9), 10, CYLINDER_UPPER) == -1
+        assert not kstable_range_contains(CYLINDER_LOWER)
+        assert not kstable_range_contains(CYLINDER_UPPER)
+        for k in range(-300, 301):
+            lam = F(k, 990)
+            assert not kstable_range_contains(lam) or cylinder_range_contains(lam)
 
 
 class TestWindows:
@@ -362,11 +367,6 @@ class TestWindows:
         assert cylinder_range_contains(CYLINDER_UPPER)
         assert not cylinder_range_contains(CYLINDER_LOWER - eps)
         assert not cylinder_range_contains(CYLINDER_UPPER + eps)
-
-    def test_kstable_window_sits_inside_cylinder_window(self):
-        # [3 - sqrt(10), (sqrt(10) - 1)/9] is contained in [-1/4, 1/3]
-        assert KSTABLE_LOWER.compare_to(F(-1, 4)) == 1
-        assert KSTABLE_UPPER.compare_to(F(1, 3)) == -1
 
 
 # ---------------------------------------------------------------------------

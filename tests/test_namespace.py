@@ -26,7 +26,7 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
 
 def test_all_is_sorted_and_unique():
     assert dp1alpha.__all__ == sorted(set(dp1alpha.__all__))
-    assert len(dp1alpha.__all__) == 46
+    assert len(dp1alpha.__all__) == 45
 
 
 @pytest.mark.parametrize("name", dp1alpha.__all__)
