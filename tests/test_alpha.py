@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import isqrt
+import random
 
 import pytest
 
@@ -286,32 +287,52 @@ def oracle_kstable(lam: Fraction, digits: int = 60) -> bool:
 
 
 class TestKStableEndpoints:
-    def test_near_endpoint_rationals_agree_with_oracle(self):
-        # rationals 10^-k on either side of each endpoint, k = 1..40; the
-        # 60-digit approximations sit within 10^-60 of the true endpoints
+    @pytest.mark.parametrize(
+        "endpoint, side, inside",
+        [
+            ("lower", -1, False),
+            ("lower", 1, True),
+            ("upper", -1, True),
+            ("upper", 1, False),
+        ],
+    )
+    def test_near_endpoint_rationals_agree_with_oracle(self, endpoint, side, inside):
+        # rationals 10^-k on one side of an endpoint, k = 1..40; the 60-digit
+        # approximations sit within 10^-60 of the true endpoints
         lo, _ = sqrt_bounds(10, 60)
-        lower, upper = 3 - lo, (lo - 1) / 9
+        end = 3 - lo if endpoint == "lower" else (lo - 1) / 9
         for k in range(1, 41):
-            eps = F(1, 10**k)
-            for lam, inside in (
-                (lower - eps, False),
-                (lower + eps, True),
-                (upper - eps, True),
-                (upper + eps, False),
-            ):
-                assert oracle_kstable(lam) is inside
-                assert kstable_range_contains(lam) is inside
+            lam = end + side * F(1, 10**k)
+            assert oracle_kstable(lam) is inside
+            assert kstable_range_contains(lam) is inside
 
-    def test_thousandths_bracket_the_endpoints(self):
-        # 3 - sqrt(10) is about -0.16228 and (sqrt(10) - 1)/9 about 0.24037
-        for lam, inside in (
+    # 3 - sqrt(10) is about -0.16228 and (sqrt(10) - 1)/9 about 0.24037
+    @pytest.mark.parametrize(
+        "lam, inside",
+        [
             (F(-163, 1000), False),
             (F(-162, 1000), True),
             (F(240, 1000), True),
             (F(241, 1000), False),
-        ):
-            assert oracle_kstable(lam) is inside
-            assert kstable_range_contains(lam) is inside
+        ],
+    )
+    def test_thousandths_bracket_the_endpoints(self, lam, inside):
+        assert oracle_kstable(lam) is inside
+        assert kstable_range_contains(lam) is inside
+
+    # each point satisfies exactly one of the squared inequalities: the
+    # other roots (-1 - sqrt(10))/9 and 3 + sqrt(10) must not widen the window
+    @pytest.mark.parametrize("lam", [F(-2, 5), F(-1, 5), F(1, 2), F(6)])
+    def test_one_squared_inequality_alone_is_not_enough(self, lam):
+        assert ((3 - lam) ** 2 <= 10) != ((9 * lam + 1) ** 2 <= 10)
+        assert oracle_kstable(lam) is False
+        assert kstable_range_contains(lam) is False
+
+    def test_agrees_with_interval_oracle_on_random_sample(self):
+        rng = random.Random(20260816)
+        for _ in range(300):
+            lam = F(rng.randint(-10**6, 10**6), rng.randint(1, 2 * 10**6))
+            assert kstable_range_contains(lam) is oracle_kstable(lam)
 
     def test_window_sits_inside_cylinder_window(self):
         # -1/4 < 3 - sqrt(10) and (sqrt(10) - 1)/9 < 1/3
