@@ -8,6 +8,7 @@ Submodules:
 - alpha: closed-form alpha bounds, parameter ranges, counterexample report
 - weierstrass: binary sextic/quartic models w^2 = z^3 + a z + b and sections
 - fme / lemmas: Fourier-Motzkin prover and the certified inequality bank
+- rationals: the p/q grammar, common denominators, exact square roots
 - cli: JSON command-line front end
 
 The public names below are resolved on first access (PEP 562), so importing

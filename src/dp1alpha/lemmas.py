@@ -1,9 +1,12 @@
 """Machine-checked inequality lemmas for iterated blow-up analyses.
 
 The bank stores each lemma as data: per-case named variables and tagged
-constraint rows, each with a note saying what the inequality asserts.  Every
-variable is a nonnegative quantity (a boundary coefficient, a point
-multiplicity, or a local intersection number), so nonnegativity rows are
+rows, each written once as its note.  A row is the inequality its note states
+before the first ':' (any prose after it is commentary): sums of terms such
+as 2m, x/6, 4/3 or (1+x)/3 on either side of <=, <, >= or >, read exactly
+into <= / < form; a note that states anything else is refused when the module
+loads.  Every variable is a nonnegative quantity (a boundary coefficient, a
+point multiplicity, or a local intersection number), so nonnegativity rows are
 generated uniformly.  Verification demands an infeasibility certificate for
 every case from the Fourier-Motzkin prover; relaxation probes drop one
 designated row and must come back feasible, showing the dropped hypothesis
@@ -20,6 +23,7 @@ local intersections with an exceptional curve at the inspected point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,447 +113,349 @@ class LemmaReport:
     cases: tuple[CaseReport, ...]
 
 
-def _case(name: str, variables: tuple[str, ...], entries: list[tuple]) -> LemmaCase:
-    rows = [
-        ConstraintRow(
-            f"nonneg-{v}", ((v, Fraction(-1)),), LE, Fraction(0), f"{v} >= 0"
+_RELATIONS = {"<=": (1, LE), "<": (1, LT), ">=": (-1, LE), ">": (-1, LT)}
+_RELATION = re.compile(r"(<=|>=|<|>)")
+# optional sign, then (sum), [integer]name or integer, then an optional /integer
+_TERM = re.compile(r"([+-]?)(?:\(([^()]+)\)|(\d*)([A-Za-z]\w*)|(\d+))(?:/(\d+))?")
+
+
+def _add_terms(text: str, sign: int, den: int, sums: dict[str, tuple[int, int]]) -> None:
+    """Add sign/den times the sum ``text`` to ``sums``: name ('' for 1) -> (num, den)."""
+    if not text:
+        raise ValueError("empty side")
+    pos = 0
+    while pos < len(text):
+        term = _TERM.match(text, pos)
+        if term is None or (pos and not term[1]):
+            raise ValueError(f"cannot read {text[pos:]!r}")
+        op, group, count, name, number, divisor = term.groups()
+        term_sign = -sign if op == "-" else sign
+        term_den = den * int(divisor or 1)
+        if not term_den:
+            raise ValueError("division by zero")
+        if group is not None:
+            _add_terms(group, term_sign, term_den, sums)
+        else:
+            key, k = (name, int(count or 1)) if name else ("", int(number))
+            n, d = sums.get(key, (0, 1))
+            sums[key] = (n * term_den + term_sign * k * d, d * term_den)
+        pos = term.end()
+
+
+def _read_row(tag: str, note: str) -> ConstraintRow:
+    """The row that the note's text before its first ':' states, in <= / < form."""
+    sides = _RELATION.split(note.partition(":")[0].replace(" ", ""))
+    if len(sides) != 3:
+        raise ValueError("needs exactly one of <=, <, >=, >")
+    lhs, relation, rhs = sides
+    sign, kind = _RELATIONS[relation]
+    sums: dict[str, tuple[int, int]] = {}
+    _add_terms(lhs, sign, 1, sums)
+    _add_terms(rhs, -sign, 1, sums)
+    n, d = sums.pop("", (0, 1))
+    coeffs = tuple((v, Fraction(*pair)) for v, pair in sums.items())
+    return ConstraintRow(tag, coeffs, kind, Fraction(-n, d), note)
+
+
+def _build_bank(table: dict) -> dict[str, LemmaEncoding]:
+    """Encodings from ``{lemma id: (cases, probes)}``.
+
+    A case is ``(name, "space-separated variables", ((tag, note), ...))``; a
+    ``nonneg-v`` row is put first for each variable.  A probe is
+    ``(case name, row tag, witness)``.
+    """
+    read: dict[tuple[str, str], ConstraintRow] = {}  # a shared hypothesis is read once
+    bank = {}
+    for lemma_id, (cases, probes) in table.items():
+        built = []
+        for name, variables, entries in cases:
+            variables = tuple(variables.split())
+            known = set(variables)
+            rows = []
+            for entry in tuple((f"nonneg-{v}", f"{v} >= 0") for v in variables) + entries:
+                try:
+                    row = read.get(entry)
+                    if row is None:
+                        row = read[entry] = _read_row(*entry)
+                    unknown = {v for v, _ in row.coeffs} - known
+                    if unknown:
+                        raise ValueError(f"unknown variables {sorted(unknown)}")
+                except ValueError as error:
+                    where = f"{lemma_id} case {name!r} row {entry[0]!r}"
+                    raise ValueError(f"{where}: {error}") from None
+                rows.append(row)
+            if len({row.tag for row in rows}) != len(rows):
+                raise ValueError(f"{lemma_id} case {name!r}: duplicate row tags")
+            built.append(LemmaCase(name, variables, tuple(rows)))
+        bank[lemma_id] = LemmaEncoding(
+            lemma_id,
+            tuple(built),
+            tuple(RelaxationProbe(c, t, tuple(map(Fraction, w))) for c, t, w in probes),
         )
-        for v in variables
-    ]
-    for tag, coeffs, relation, rhs, note in entries:
-        unknown = set(coeffs) - set(variables)
-        if unknown:
-            raise ValueError(f"case {name}: unknown variables {sorted(unknown)}")
-        rows.append(
-            ConstraintRow(
-                tag,
-                tuple((v, Fraction(c)) for v, c in coeffs.items()),
-                relation,
-                Fraction(rhs),
-                note,
-            )
-        )
-    tags = [row.tag for row in rows]
-    if len(set(tags)) != len(tags):
-        raise ValueError(f"case {name}: duplicate row tags")
-    return LemmaCase(name, variables, tuple(rows))
-
-
-def _probe(case_name: str, row_tag: str, witness: tuple) -> RelaxationProbe:
-    return RelaxationProbe(case_name, row_tag, tuple(Fraction(w) for w in witness))
-
-
-_H = Fraction(1, 2)
-_X_CAP = ("x-cap", {"x": 1}, LE, 1, "x <= 1: margin parameter window")
-
-
-def _build_bank() -> dict[str, LemmaEncoding]:
-    bank: dict[str, LemmaEncoding] = {}
-
-    # --- double point, steep budget: one blow-up suffices ---
-    bank["local-1"] = LemmaEncoding(
-        "local-1",
-        (
-            _case(
-                "main",
-                ("x", "a", "m", "T", "TQ"),
-                [
-                    _X_CAP,
-                    ("a-cap", {"a": 1, "x": -_H}, LE, 0, "a <= x/2: curve-coefficient cap"),
-                    (
-                        "T-cap",
-                        {"T": 1, "a": 1, "x": Fraction(-1, 6)},
-                        LE,
-                        Fraction(4, 3),
-                        "T <= 4/3 + x/6 - a: local intersection budget",
-                    ),
-                    ("mult", {"m": 2, "T": -1}, LE, 0, "2m <= T: the double point feeds twice the multiplicity into T"),
-                    ("split", {"m": 2, "TQ": 1, "T": -1}, LE, 0, "T >= 2m + TQ: T absorbs 2m at the center, TQ survives upstairs"),
-                    (
-                        "adj",
-                        {"TQ": -1, "a": -4, "m": -2},
-                        LT,
-                        -3,
-                        "TQ > 3 - 4a - 2m: adjunction upstairs, the exceptional coefficient 2a+m-1 counted against both branches",
-                    ),
-                ],
-            ),
-        ),
-        (_probe("main", "x-cap", (2, 1, 0, 0, 0)),),
-    )
-
-    # --- double point, threshold budget: up to three blow-ups ---
-    bank["local-2"] = LemmaEncoding(
-        "local-2",
-        (
-            _case(
-                "first-neighborhood",
-                ("x", "a", "m", "mt", "T", "TO"),
-                [
-                    _X_CAP,
-                    ("a-cap", {"a": 1, "x": _H}, LE, 1, "a <= 1 - x/2: coefficient cap at the weakest threshold value 1"),
-                    ("T-cap", {"T": 1, "x": -_H}, LE, 1, "T <= 1 + x/2: budget at the weakest threshold value 1"),
-                    ("mult", {"m": 2, "T": -1}, LE, 0, "2m <= T"),
-                    ("descent", {"mt": 1, "m": -1}, LE, 0, "mt <= m: multiplicity cannot grow under blow-up"),
-                    ("split", {"m": 2, "mt": 1, "TO": 1, "T": -1}, LE, 0, "T >= 2m + mt + TO"),
-                    (
-                        "adj",
-                        {"TO": -1, "a": -3, "m": -1, "mt": -1},
-                        LT,
-                        -3,
-                        "TO > 3 - 3a - m - mt: adjunction at a second-level point off the first exceptional curve",
-                    ),
-                    (
-                        "chain",
-                        {"a": -2, "x": -_H, "m": 1},
-                        LT,
-                        -2,
-                        "2a + x/2 > 2 + m: deduced comparison transcribed as asserted; the source derivation "
-                        "tightens the budget by an extra -a that the stated hypothesis does not carry",
-                    ),
-                ],
-            ),
-            _case(
-                "tangent-vertex",
-                ("x", "a", "m", "mt", "mh", "T", "TE"),
-                [
-                    _X_CAP,
-                    ("a-cap", {"a": 1, "x": _H}, LE, Fraction(5, 6), "a <= 5/6 - x/2: cap at the cuspidal threshold 5/6"),
-                    (
-                        "T-cap",
-                        {"T": 1, "a": 1, "x": -_H},
-                        LE,
-                        Fraction(5, 6),
-                        "T <= 5/6 + x/2 - a: budget as displayed; carries the same extra -a slack",
-                    ),
-                    ("mult", {"m": 2, "T": -1}, LE, 0, "2m <= T"),
-                    ("gate", {"a": 6, "m": 4, "x": 1}, LE, 5, "6a + 4m <= 5 - x: combined cap enabling the third-level adjunction"),
-                    ("split", {"m": 2, "mt": 1, "mh": 1, "TE": 1, "T": -1}, LE, 0, "T >= 2m + mt + mh + TE"),
-                    (
-                        "adj",
-                        {"TE": -1, "a": -6, "m": -2, "mt": -1, "mh": -1},
-                        LT,
-                        -5,
-                        "TE > 5 - 6a - 2m - mt - mh: adjunction at the third-level point on the tangent vertex",
-                    ),
-                ],
-            ),
-        ),
-        (
-            _probe("first-neighborhood", "chain", (_H, Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), Fraction(9, 8), Fraction(3, 8))),
-            _probe("first-neighborhood", "a-cap", (0, Fraction(3, 2), 0, 0, 0, 0)),
-            _probe("tangent-vertex", "T-cap", (0, Fraction(5, 6), 0, 0, 0, 1, 1)),
-        ),
-    )
-
-    # --- smooth point, generous coefficient cap ---
-    bank["local-3"] = LemmaEncoding(
-        "local-3",
-        (
-            _case(
-                "main",
-                ("x", "a", "m", "mt", "T", "TO"),
-                [
-                    _X_CAP,
-                    ("a-cap", {"a": 1, "x": -_H}, LE, Fraction(1, 3), "a <= 1/3 + x/2"),
-                    ("pair-cap", {"m": 1, "a": 1, "x": -_H}, LE, 1, "m + a <= 1 + x/2"),
-                    ("T-cap", {"T": 1, "x": _H, "a": -1}, LE, 1, "T <= 1 - x/2 + a"),
-                    ("mult", {"m": 1, "T": -1}, LE, 0, "m <= T: smooth branch"),
-                    ("split", {"m": 1, "mt": 1, "TO": 1, "T": -1}, LE, 0, "T >= m + mt + TO"),
-                    ("adj", {"TO": -1, "a": -2, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 2a - m - mt"),
-                ],
-            ),
-        ),
-        (_probe("main", "a-cap", (0, 1, 0, 0, 2, 2)),),
-    )
-
-    # --- smooth point, tight budget ---
-    bank["local-4"] = LemmaEncoding(
-        "local-4",
-        (
-            _case(
-                "main",
-                ("x", "a", "m", "mt", "T", "TO"),
-                [
-                    _X_CAP,
-                    ("a-cap", {"a": 1, "x": Fraction(1, 18)}, LE, Fraction(8, 9), "a <= 8/9 - x/18"),
-                    ("pair-cap", {"m": 1, "a": 1, "x": Fraction(-1, 6)}, LE, Fraction(4, 3), "m + a <= 4/3 + x/6"),
-                    ("T-cap", {"T": 1, "x": -_H, "a": -1}, LE, 0, "T <= x/2 + a"),
-                    ("mult", {"m": 1, "T": -1}, LE, 0, "m <= T"),
-                    ("split", {"m": 1, "mt": 1, "TO": 1, "T": -1}, LE, 0, "T >= m + mt + TO"),
-                    ("adj", {"TO": -1, "a": -2, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 2a - m - mt"),
-                ],
-            ),
-        ),
-        (_probe("main", "a-cap", (1, 1, 0, 0, Fraction(3, 2), Fraction(3, 2))),),
-    )
-
-    # --- double point, budget 2 - 2a: split on the second-level position ---
-    local_5_caps = [
-        _X_CAP,
-        ("a-cap", {"a": 1, "x": Fraction(-1, 3)}, LE, Fraction(1, 3), "a <= (1+x)/3"),
-        ("T-cap", {"T": 1, "a": 2}, LE, 2, "T <= 2 - 2a"),
-        ("mult", {"m": 2, "T": -1}, LE, 0, "2m <= T"),
-        ("split", {"m": 2, "mt": 1, "TO": 1, "T": -1}, LE, 0, "T >= 2m + mt + TO"),
-    ]
-    bank["local-5"] = LemmaEncoding(
-        "local-5",
-        (
-            _case(
-                "off-axis",
-                ("x", "a", "m", "mt", "T", "TO"),
-                local_5_caps
-                + [("adj", {"TO": -1, "a": -3, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 3a - m - mt: second-level point off the first exceptional curve")],
-            ),
-            _case(
-                "triple-vertex",
-                ("x", "a", "m", "mt", "T", "TO"),
-                local_5_caps
-                + [("adj", {"TO": -1, "a": -5, "m": -2, "mt": -1}, LT, -4, "TO > 4 - 5a - 2m - mt: both exceptional coefficients meet the triple intersection")],
-            ),
-        ),
-        (
-            _probe("off-axis", "T-cap", (1, Fraction(2, 3), 1, 1, 3, 0)),
-            _probe("triple-vertex", "a-cap", (Fraction(9, 10), 1, 0, 0, 0, 0)),
-        ),
-    )
-
-    # --- double point, budget 4/3 + 2x/3 - 2a ---
-    local_6_caps = [
-        _X_CAP,
-        ("a-cap", {"a": 1}, LE, Fraction(2, 3), "a <= 2/3"),
-        ("T-cap", {"T": 1, "a": 2, "x": Fraction(-2, 3)}, LE, Fraction(4, 3), "T <= 4/3 + 2x/3 - 2a"),
-        ("mult", {"m": 2, "T": -1}, LE, 0, "2m <= T"),
-        ("split", {"m": 2, "mt": 1, "TO": 1, "T": -1}, LE, 0, "T >= 2m + mt + TO"),
-    ]
-    bank["local-6"] = LemmaEncoding(
-        "local-6",
-        (
-            _case(
-                "off-axis",
-                ("x", "a", "m", "mt", "T", "TO"),
-                local_6_caps
-                + [("adj", {"TO": -1, "a": -3, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 3a - m - mt")],
-            ),
-            _case(
-                "triple-vertex",
-                ("x", "a", "m", "mt", "T", "TO"),
-                local_6_caps
-                + [("adj", {"TO": -1, "a": -5, "m": -2, "mt": -1}, LT, -4, "TO > 4 - 5a - 2m - mt")],
-            ),
-        ),
-        (
-            _probe("off-axis", "T-cap", (0, Fraction(2, 3), 1, 1, 3, 0)),
-            _probe("triple-vertex", "T-cap", (0, Fraction(2, 3), 0, 0, 1, 1)),
-        ),
-    )
-
-    # --- two smooth marked curves, caps (1+x)/3 ---
-    local_7_common = [
-        _X_CAP,
-        ("a-cap", {"a": 1, "x": Fraction(-1, 3)}, LE, Fraction(1, 3), "a <= (1+x)/3"),
-        ("b-cap", {"b": 1, "x": Fraction(-1, 3)}, LE, Fraction(1, 3), "b <= (1+x)/3"),
-        ("triple-cap", {"a": 1, "b": 1, "m": 1, "x": -_H}, LE, 1, "a + b + m <= 1 + x/2"),
-        ("TC-cap", {"TC": 1, "a": -1, "b": 2}, LE, 1, "TC <= 1 + a - 2b"),
-        ("TZ-cap", {"TZ": 1, "b": -1, "a": 2}, LE, 1, "TZ <= 1 + b - 2a"),
-        ("mult-c", {"m": 1, "TC": -1}, LE, 0, "m <= TC"),
-        ("mult-z", {"m": 1, "TZ": -1}, LE, 0, "m <= TZ"),
-    ]
-    bank["local-7"] = LemmaEncoding(
-        "local-7",
-        (
-            _case(
-                "split-branch",
-                ("x", "a", "b", "m", "TC", "TZ", "TQ"),
-                local_7_common
-                + [
-                    ("split", {"m": 1, "TQ": 1, "TC": -1}, LE, 0, "TC >= m + TQ"),
-                    ("adj", {"TQ": -1, "a": -1, "b": -1, "m": -1}, LT, -2, "TQ > 2 - a - b - m: only the first marked curve passes through the higher point"),
-                ],
-            ),
-            _case(
-                "tangent-pair",
-                ("x", "a", "b", "m", "mt", "TC", "TZ", "TO"),
-                local_7_common
-                + [
-                    ("split", {"m": 1, "mt": 1, "TO": 1, "TC": -1}, LE, 0, "TC >= m + mt + TO"),
-                    ("adj", {"TO": -1, "a": -2, "b": -2, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 2a - 2b - m - mt: both marked curves pass through both higher points"),
-                ],
-            ),
-        ),
-        (
-            _probe("split-branch", "TZ-cap", (1, Fraction(2, 3), 0, 0, Fraction(3, 2), 0, Fraction(3, 2))),
-            _probe("tangent-pair", "a-cap", (1, Fraction(4, 5), Fraction(3, 5), 0, 0, _H, 0, Fraction(3, 10))),
-        ),
-    )
-
-    # --- two smooth marked curves, caps 2/3 with x-dependent budgets ---
-    local_8_common = [
-        _X_CAP,
-        ("a-cap", {"a": 1}, LE, Fraction(2, 3), "a <= 2/3"),
-        ("b-cap", {"b": 1}, LE, Fraction(2, 3), "b <= 2/3"),
-        ("triple-cap", {"a": 1, "b": 1, "m": 1, "x": Fraction(-1, 6)}, LE, Fraction(4, 3), "a + b + m <= 4/3 + x/6"),
-        ("TC-cap", {"TC": 1, "a": -1, "b": 2, "x": Fraction(-1, 3)}, LE, Fraction(2, 3), "TC <= (2+x)/3 + a - 2b"),
-        ("TZ-cap", {"TZ": 1, "b": -1, "a": 2, "x": Fraction(-1, 3)}, LE, Fraction(2, 3), "TZ <= (2+x)/3 + b - 2a"),
-        ("mult-c", {"m": 1, "TC": -1}, LE, 0, "m <= TC"),
-        ("mult-z", {"m": 1, "TZ": -1}, LE, 0, "m <= TZ"),
-    ]
-    bank["local-8"] = LemmaEncoding(
-        "local-8",
-        (
-            _case(
-                "split-branch",
-                ("x", "a", "b", "m", "TC", "TZ", "TQ"),
-                local_8_common
-                + [
-                    ("split", {"m": 1, "TQ": 1, "TC": -1}, LE, 0, "TC >= m + TQ"),
-                    ("adj", {"TQ": -1, "a": -1, "b": -1, "m": -1}, LT, -2, "TQ > 2 - a - b - m"),
-                ],
-            ),
-            _case(
-                "tangent-pair",
-                ("x", "a", "b", "m", "mt", "TC", "TZ", "TO"),
-                local_8_common
-                + [
-                    ("split", {"m": 1, "mt": 1, "TO": 1, "TC": -1}, LE, 0, "TC >= m + mt + TO"),
-                    ("adj", {"TO": -1, "a": -2, "b": -2, "m": -1, "mt": -1}, LT, -3, "TO > 3 - 2a - 2b - m - mt"),
-                ],
-            ),
-        ),
-        (
-            _probe("tangent-pair", "a-cap", (1, Fraction(7, 10), _H, 0, 0, Fraction(7, 10), 0, Fraction(7, 10))),
-        ),
-    )
-
-    # --- second-level neighborhood: points off the transformed marked curve ---
-    adj_2_hyps = [
-        ("a-window", {"a": 1}, LE, 1, "a <= 1: ambient coefficient window"),
-        ("m-cap", {"m": 1}, LE, 1, "m <= 1"),
-        ("pair-cap", {"a": 2, "m": 1}, LE, 2, "2a + m <= 2: first exceptional coefficient stays at most 1"),
-        ("gate", {"a": 3, "m": 2}, LE, 3, "3a + 2m <= 3: second exceptional coefficient stays at most 1"),
-    ]
-    bank["adj-2"] = LemmaEncoding(
-        "adj-2",
-        (
-            _case(
-                "off-branch-axis",
-                ("a", "m", "mt", "W"),
-                adj_2_hyps
-                + [
-                    ("descent", {"mt": 1, "m": -1}, LE, 0, "mt <= m"),
-                    ("budget", {"W": 1, "mt": -1}, LE, 0, "W <= mt: one point's share of the intersection with the exceptional curve"),
-                    ("adj", {"W": -1}, LT, -1, "W > 1: adjunction at a point meeting no other boundary curve"),
-                ],
-            ),
-            _case(
-                "on-branch-axis",
-                ("a", "m", "mt", "U"),
-                adj_2_hyps
-                + [
-                    ("budget", {"U": 1, "m": -1, "mt": 1}, LE, 0, "U <= m - mt: intersection with the transformed first exceptional curve"),
-                    ("adj", {"U": -1, "a": -3, "m": -1, "mt": -1}, LT, -3, "U > 3 - 3a - m - mt"),
-                ],
-            ),
-        ),
-        (
-            _probe("off-branch-axis", "m-cap", (0, Fraction(3, 2), Fraction(3, 2), Fraction(5, 4))),
-            _probe("on-branch-axis", "gate", (_H, 1, 0, 1)),
-        ),
-    )
-
-    # --- third-level neighborhood at the axis vertex: two on-curve branches
-    # (the preliminary off-both-curves exclusion is the same multiplicity
-    # argument checked as adj-2's off-branch-axis case) ---
-    adj_4_hyps = [
-        ("a-window", {"a": 1}, LE, 1, "a <= 1: ambient coefficient window"),
-        ("m-cap", {"m": 1}, LE, 1, "m <= 1"),
-        ("pair-cap", {"a": 3, "m": 1, "mt": 1}, LE, 3, "3a + m + mt <= 3: second exceptional coefficient stays at most 1"),
-        ("gate", {"a": 6, "m": 4}, LE, 5, "6a + 4m <= 5: third exceptional coefficient stays at most 1"),
-    ]
-    bank["adj-4"] = LemmaEncoding(
-        "adj-4",
-        (
-            _case(
-                "on-second",
-                ("a", "m", "mt", "mh", "U"),
-                adj_4_hyps
-                + [
-                    ("descent", {"mt": 1, "m": -1}, LE, 0, "mt <= m"),
-                    ("budget", {"U": 1, "mt": -1, "mh": 1}, LE, 0, "U <= mt - mh: intersection with the transformed second exceptional curve"),
-                    ("adj", {"U": -1, "a": -6, "m": -2, "mt": -1, "mh": -1}, LT, -5, "U > 5 - 6a - 2m - mt - mh"),
-                ],
-            ),
-            _case(
-                "on-first",
-                ("a", "m", "mt", "mh", "U"),
-                adj_4_hyps
-                + [
-                    ("budget", {"U": 1, "m": -1, "mt": 1, "mh": 1}, LE, 0, "U <= m - mt - mh: intersection with the twice-transformed first exceptional curve"),
-                    ("adj", {"U": -1, "a": -6, "m": -2, "mt": -1, "mh": -1}, LT, -5, "U > 5 - 6a - 2m - mt - mh"),
-                ],
-            ),
-        ),
-        (_probe("on-second", "gate", (1, 0, 0, 0, 0)),),
-    )
-
-    # --- first-level neighborhood with two marked curves ---
-    bank["adj-7"] = LemmaEncoding(
-        "adj-7",
-        (
-            _case(
-                "main",
-                ("a", "b", "m", "W"),
-                [
-                    ("a-window", {"a": 1}, LE, 1, "a <= 1"),
-                    ("b-window", {"b": 1}, LE, 1, "b <= 1"),
-                    ("m-cap", {"m": 1}, LE, 1, "m <= 1"),
-                    ("pair-cap", {"a": 1, "b": 1, "m": 1}, LE, 2, "a + b + m <= 2: exceptional coefficient stays at most 1"),
-                    ("budget", {"W": 1, "m": -1}, LE, 0, "W <= m"),
-                    ("adj", {"W": -1}, LT, -1, "W > 1"),
-                ],
-            ),
-        ),
-        (_probe("main", "m-cap", (0, 0, 2, Fraction(3, 2))),),
-    )
-
-    # --- second-level neighborhood with two marked curves ---
-    adj_8_hyps = [
-        ("a-window", {"a": 1}, LE, 1, "a <= 1"),
-        ("b-window", {"b": 1}, LE, 1, "b <= 1"),
-        ("m-cap", {"m": 1}, LE, 1, "m <= 1"),
-        ("pair-cap", {"a": 1, "b": 1, "m": 1}, LE, 2, "a + b + m <= 2"),
-        ("gate", {"a": 2, "b": 2, "m": 2}, LE, 3, "2a + 2b + 2m <= 3: second exceptional coefficient stays at most 1"),
-    ]
-    bank["adj-8"] = LemmaEncoding(
-        "adj-8",
-        (
-            _case(
-                "off-branch-axis",
-                ("a", "b", "m", "mt", "W"),
-                adj_8_hyps
-                + [
-                    ("descent", {"mt": 1, "m": -1}, LE, 0, "mt <= m"),
-                    ("budget", {"W": 1, "mt": -1}, LE, 0, "W <= mt"),
-                    ("adj", {"W": -1}, LT, -1, "W > 1"),
-                ],
-            ),
-            _case(
-                "on-branch-axis",
-                ("a", "b", "m", "mt", "U"),
-                adj_8_hyps
-                + [
-                    ("budget", {"U": 1, "m": -1, "mt": 1}, LE, 0, "U <= m - mt"),
-                    ("adj", {"U": -1, "a": -2, "b": -2, "m": -1, "mt": -1}, LT, -3, "U > 3 - 2a - 2b - m - mt"),
-                ],
-            ),
-        ),
-        (_probe("on-branch-axis", "gate", (1, 1, 0, 0, 0)),),
-    )
-
     return bank
 
 
-LEMMA_BANK = _build_bank()
+_X_CAP = ("x-cap", "x <= 1: margin parameter window")
+# local-5: double point, budget 2 - 2a, split on the second-level position
+_LOCAL_5_CAPS = (
+    _X_CAP,
+    ("a-cap", "a <= (1+x)/3"),
+    ("T-cap", "T <= 2 - 2a"),
+    ("mult", "2m <= T"),
+    ("split", "T >= 2m + mt + TO"),
+)
+# local-6: double point, budget 4/3 + 2x/3 - 2a
+_LOCAL_6_CAPS = (
+    _X_CAP,
+    ("a-cap", "a <= 2/3"),
+    ("T-cap", "T <= 4/3 + 2x/3 - 2a"),
+    ("mult", "2m <= T"),
+    ("split", "T >= 2m + mt + TO"),
+)
+# local-7: two smooth marked curves, caps (1+x)/3
+_LOCAL_7_COMMON = (
+    _X_CAP,
+    ("a-cap", "a <= (1+x)/3"),
+    ("b-cap", "b <= (1+x)/3"),
+    ("triple-cap", "a + b + m <= 1 + x/2"),
+    ("TC-cap", "TC <= 1 + a - 2b"),
+    ("TZ-cap", "TZ <= 1 + b - 2a"),
+    ("mult-c", "m <= TC"),
+    ("mult-z", "m <= TZ"),
+)
+# local-8: two smooth marked curves, caps 2/3 with x-dependent budgets
+_LOCAL_8_COMMON = (
+    _X_CAP,
+    ("a-cap", "a <= 2/3"),
+    ("b-cap", "b <= 2/3"),
+    ("triple-cap", "a + b + m <= 4/3 + x/6"),
+    ("TC-cap", "TC <= (2+x)/3 + a - 2b"),
+    ("TZ-cap", "TZ <= (2+x)/3 + b - 2a"),
+    ("mult-c", "m <= TC"),
+    ("mult-z", "m <= TZ"),
+)
+# adj-2: second-level neighborhood, points off the transformed marked curve
+_ADJ_2_HYPS = (
+    ("a-window", "a <= 1: ambient coefficient window"),
+    ("m-cap", "m <= 1"),
+    ("pair-cap", "2a + m <= 2: first exceptional coefficient stays at most 1"),
+    ("gate", "3a + 2m <= 3: second exceptional coefficient stays at most 1"),
+)
+# adj-4: third-level neighborhood at the axis vertex, two on-curve branches
+# (the preliminary off-both-curves exclusion is the same multiplicity
+# argument checked as adj-2's off-branch-axis case)
+_ADJ_4_HYPS = (
+    ("a-window", "a <= 1: ambient coefficient window"),
+    ("m-cap", "m <= 1"),
+    ("pair-cap", "3a + m + mt <= 3: second exceptional coefficient stays at most 1"),
+    ("gate", "6a + 4m <= 5: third exceptional coefficient stays at most 1"),
+)
+# adj-8: second-level neighborhood with two marked curves
+_ADJ_8_HYPS = (
+    ("a-window", "a <= 1"),
+    ("b-window", "b <= 1"),
+    ("m-cap", "m <= 1"),
+    ("pair-cap", "a + b + m <= 2"),
+    ("gate", "2a + 2b + 2m <= 3: second exceptional coefficient stays at most 1"),
+)
+
+LEMMA_BANK = _build_bank({
+    # double point, steep budget: one blow-up suffices
+    "local-1": (
+        (
+            ("main", "x a m T TQ", (
+                _X_CAP,
+                ("a-cap", "a <= x/2: curve-coefficient cap"),
+                ("T-cap", "T <= 4/3 + x/6 - a: local intersection budget"),
+                ("mult", "2m <= T: the double point feeds twice the multiplicity into T"),
+                ("split", "T >= 2m + TQ: T absorbs 2m at the center, TQ survives upstairs"),
+                ("adj", "TQ > 3 - 4a - 2m: adjunction upstairs, the exceptional coefficient "
+                        "2a+m-1 counted against both branches"),
+            )),
+        ),
+        (("main", "x-cap", (2, 1, 0, 0, 0)),),
+    ),
+    # double point, threshold budget: up to three blow-ups
+    "local-2": (
+        (
+            ("first-neighborhood", "x a m mt T TO", (
+                _X_CAP,
+                ("a-cap", "a <= 1 - x/2: coefficient cap at the weakest threshold value 1"),
+                ("T-cap", "T <= 1 + x/2: budget at the weakest threshold value 1"),
+                ("mult", "2m <= T"),
+                ("descent", "mt <= m: multiplicity cannot grow under blow-up"),
+                ("split", "T >= 2m + mt + TO"),
+                ("adj", "TO > 3 - 3a - m - mt: adjunction at a second-level point off the "
+                        "first exceptional curve"),
+                ("chain", "2a + x/2 > 2 + m: deduced comparison transcribed as asserted; the "
+                          "source derivation tightens the budget by an extra -a that the "
+                          "stated hypothesis does not carry"),
+            )),
+            ("tangent-vertex", "x a m mt mh T TE", (
+                _X_CAP,
+                ("a-cap", "a <= 5/6 - x/2: cap at the cuspidal threshold 5/6"),
+                ("T-cap", "T <= 5/6 + x/2 - a: budget as displayed; carries the same extra -a slack"),
+                ("mult", "2m <= T"),
+                ("gate", "6a + 4m <= 5 - x: combined cap enabling the third-level adjunction"),
+                ("split", "T >= 2m + mt + mh + TE"),
+                ("adj", "TE > 5 - 6a - 2m - mt - mh: adjunction at the third-level point on "
+                        "the tangent vertex"),
+            )),
+        ),
+        (
+            ("first-neighborhood", "chain", ("1/2", "3/4", "1/4", "1/4", "9/8", "3/8")),
+            ("first-neighborhood", "a-cap", (0, "3/2", 0, 0, 0, 0)),
+            ("tangent-vertex", "T-cap", (0, "5/6", 0, 0, 0, 1, 1)),
+        ),
+    ),
+    # smooth point, generous coefficient cap
+    "local-3": (
+        (
+            ("main", "x a m mt T TO", (
+                _X_CAP,
+                ("a-cap", "a <= 1/3 + x/2"),
+                ("pair-cap", "m + a <= 1 + x/2"),
+                ("T-cap", "T <= 1 - x/2 + a"),
+                ("mult", "m <= T: smooth branch"),
+                ("split", "T >= m + mt + TO"),
+                ("adj", "TO > 3 - 2a - m - mt"),
+            )),
+        ),
+        (("main", "a-cap", (0, 1, 0, 0, 2, 2)),),
+    ),
+    # smooth point, tight budget
+    "local-4": (
+        (
+            ("main", "x a m mt T TO", (
+                _X_CAP,
+                ("a-cap", "a <= 8/9 - x/18"),
+                ("pair-cap", "m + a <= 4/3 + x/6"),
+                ("T-cap", "T <= x/2 + a"),
+                ("mult", "m <= T"),
+                ("split", "T >= m + mt + TO"),
+                ("adj", "TO > 3 - 2a - m - mt"),
+            )),
+        ),
+        (("main", "a-cap", (1, 1, 0, 0, "3/2", "3/2")),),
+    ),
+    "local-5": (
+        (
+            ("off-axis", "x a m mt T TO", _LOCAL_5_CAPS + (
+                ("adj", "TO > 3 - 3a - m - mt: second-level point off the first exceptional curve"),
+            )),
+            ("triple-vertex", "x a m mt T TO", _LOCAL_5_CAPS + (
+                ("adj", "TO > 4 - 5a - 2m - mt: both exceptional coefficients meet the "
+                        "triple intersection"),
+            )),
+        ),
+        (
+            ("off-axis", "T-cap", (1, "2/3", 1, 1, 3, 0)),
+            ("triple-vertex", "a-cap", ("9/10", 1, 0, 0, 0, 0)),
+        ),
+    ),
+    "local-6": (
+        (
+            ("off-axis", "x a m mt T TO", _LOCAL_6_CAPS + (("adj", "TO > 3 - 3a - m - mt"),)),
+            ("triple-vertex", "x a m mt T TO", _LOCAL_6_CAPS + (("adj", "TO > 4 - 5a - 2m - mt"),)),
+        ),
+        (
+            ("off-axis", "T-cap", (0, "2/3", 1, 1, 3, 0)),
+            ("triple-vertex", "T-cap", (0, "2/3", 0, 0, 1, 1)),
+        ),
+    ),
+    "local-7": (
+        (
+            ("split-branch", "x a b m TC TZ TQ", _LOCAL_7_COMMON + (
+                ("split", "TC >= m + TQ"),
+                ("adj", "TQ > 2 - a - b - m: only the first marked curve passes through the "
+                        "higher point"),
+            )),
+            ("tangent-pair", "x a b m mt TC TZ TO", _LOCAL_7_COMMON + (
+                ("split", "TC >= m + mt + TO"),
+                ("adj", "TO > 3 - 2a - 2b - m - mt: both marked curves pass through both "
+                        "higher points"),
+            )),
+        ),
+        (
+            ("split-branch", "TZ-cap", (1, "2/3", 0, 0, "3/2", 0, "3/2")),
+            ("tangent-pair", "a-cap", (1, "4/5", "3/5", 0, 0, "1/2", 0, "3/10")),
+        ),
+    ),
+    "local-8": (
+        (
+            ("split-branch", "x a b m TC TZ TQ", _LOCAL_8_COMMON + (
+                ("split", "TC >= m + TQ"),
+                ("adj", "TQ > 2 - a - b - m"),
+            )),
+            ("tangent-pair", "x a b m mt TC TZ TO", _LOCAL_8_COMMON + (
+                ("split", "TC >= m + mt + TO"),
+                ("adj", "TO > 3 - 2a - 2b - m - mt"),
+            )),
+        ),
+        (("tangent-pair", "a-cap", (1, "7/10", "1/2", 0, 0, "7/10", 0, "7/10")),),
+    ),
+    "adj-2": (
+        (
+            ("off-branch-axis", "a m mt W", _ADJ_2_HYPS + (
+                ("descent", "mt <= m"),
+                ("budget", "W <= mt: one point's share of the intersection with the "
+                           "exceptional curve"),
+                ("adj", "W > 1: adjunction at a point meeting no other boundary curve"),
+            )),
+            ("on-branch-axis", "a m mt U", _ADJ_2_HYPS + (
+                ("budget", "U <= m - mt: intersection with the transformed first exceptional curve"),
+                ("adj", "U > 3 - 3a - m - mt"),
+            )),
+        ),
+        (
+            ("off-branch-axis", "m-cap", (0, "3/2", "3/2", "5/4")),
+            ("on-branch-axis", "gate", ("1/2", 1, 0, 1)),
+        ),
+    ),
+    "adj-4": (
+        (
+            ("on-second", "a m mt mh U", _ADJ_4_HYPS + (
+                ("descent", "mt <= m"),
+                ("budget", "U <= mt - mh: intersection with the transformed second exceptional curve"),
+                ("adj", "U > 5 - 6a - 2m - mt - mh"),
+            )),
+            ("on-first", "a m mt mh U", _ADJ_4_HYPS + (
+                ("budget", "U <= m - mt - mh: intersection with the twice-transformed first "
+                           "exceptional curve"),
+                ("adj", "U > 5 - 6a - 2m - mt - mh"),
+            )),
+        ),
+        (("on-second", "gate", (1, 0, 0, 0, 0)),),
+    ),
+    # first-level neighborhood with two marked curves
+    "adj-7": (
+        (
+            ("main", "a b m W", (
+                ("a-window", "a <= 1"),
+                ("b-window", "b <= 1"),
+                ("m-cap", "m <= 1"),
+                ("pair-cap", "a + b + m <= 2: exceptional coefficient stays at most 1"),
+                ("budget", "W <= m"),
+                ("adj", "W > 1"),
+            )),
+        ),
+        (("main", "m-cap", (0, 0, 2, "3/2")),),
+    ),
+    "adj-8": (
+        (
+            ("off-branch-axis", "a b m mt W", _ADJ_8_HYPS + (
+                ("descent", "mt <= m"),
+                ("budget", "W <= mt"),
+                ("adj", "W > 1"),
+            )),
+            ("on-branch-axis", "a b m mt U", _ADJ_8_HYPS + (
+                ("budget", "U <= m - mt"),
+                ("adj", "U > 3 - 2a - 2b - m - mt"),
+            )),
+        ),
+        (("on-branch-axis", "gate", (1, 1, 0, 0, 0)),),
+    ),
+})
 LEMMA_IDS = tuple(LEMMA_BANK)
 
 

@@ -398,6 +398,6 @@ def _form_square_root(form: BinaryForm) -> BinaryForm | None:
 def find_square_sections(surface: WeierstrassSurface) -> list[SectionPair]:
     """Section pairs with q = 0, present exactly when b is a perfect square."""
     g = _form_square_root(surface.b)
-    if g is None or g.degree != 3:
+    if g is None:
         return []
     return [section_pair(surface, BinaryForm(2, (0, 0, 0)), g)]

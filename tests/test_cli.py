@@ -675,15 +675,19 @@ COLD_COMMANDS = [
 
 _COLD_RUN = (
     "import json, sys\n"
+    "before = set(sys.modules)\n"
     "from dp1alpha import cli\n"
     "code = cli.run(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('dp1alpha.'))\n"
-    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    "added = sorted({m.partition('.')[0] for m in sys.modules.keys() - before})\n"
+    "print(json.dumps([code, loaded, added]), file=sys.stderr)\n"
 )
 
 
 class TestColdProcess:
     """A fresh interpreter imports only what the command calls, and prints the same bytes.
+
+    Besides the package, a command may import only standard-library modules.
 
     In-process tests cannot see a missing lazy binding: earlier tests have
     already imported every module.
@@ -702,8 +706,10 @@ class TestColdProcess:
         )
         assert cold.returncode == 0, cold.stderr
         *messages, status = cold.stderr.splitlines()
-        code, loaded = json.loads(status)
+        code, loaded, added = json.loads(status)
         assert loaded == sorted(f"dp1alpha.{m}" for m in modules | {"cli", "rationals"})
+        # no runtime dependencies: the command adds only the package and the standard library
+        assert {m for m in added if m != "dp1alpha"} <= sys.stdlib_module_names, added
 
         capsys.readouterr()
         assert code == run(argv)

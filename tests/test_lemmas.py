@@ -18,6 +18,7 @@ from dp1alpha.lemmas import (
     LEMMA_IDS,
     NODE,
     LemmaProbeError,
+    _build_bank,
     get_encoding,
     lc_two_smooth_branches,
     lct_blowup_ledger,
@@ -106,6 +107,73 @@ class TestBankShape:
     def test_unknown_lemma_id_rejected(self):
         with pytest.raises(ValueError):
             get_encoding("local-9")
+
+
+class TestNoteReader:
+    """The bank builds each row from its note and refuses anything else."""
+
+    @staticmethod
+    def _case(*entries, variables="x a b m"):
+        bank = _build_bank({"demo": ((("main", variables, entries),), ())})
+        return bank["demo"].cases[0]
+
+    @pytest.mark.parametrize(
+        "note, coeffs, relation, rhs",
+        [
+            ("x <= 1: prose: after the first colon", {"x": 1}, LE, 1),
+            ("2m <= x/6", {"m": 2, "x": F(-1, 6)}, LE, 0),
+            ("a <= (1+x)/3", {"a": 1, "x": F(-1, 3)}, LE, F(1, 3)),
+            ("b <= 4/3 + 2x/3 - 2a", {"b": 1, "x": F(-2, 3), "a": 2}, LE, F(4, 3)),
+            ("a >= m + 1", {"a": -1, "m": 1}, LE, -1),
+            ("2a + x/2 > 2 + m", {"a": -2, "x": F(-1, 2), "m": 1}, LT, -2),
+            ("-a < -(1+b)/2 - 1", {"a": -1, "b": F(1, 2)}, LT, F(-3, 2)),
+            ("a + a <= x - x + 1", {"a": 2, "x": 0}, LE, 1),
+        ],
+    )
+    def test_reads_the_row_its_note_states(self, note, coeffs, relation, rhs):
+        row = self._case(("r", note)).rows[-1]
+        assert (row.tag, row.note) == ("r", note)
+        assert dict(row.coeffs) == coeffs
+        assert (row.relation, row.rhs) == (relation, rhs)
+
+    def test_nonnegativity_rows_come_first(self):
+        case = self._case(("r", "a <= 1"), variables="a m")
+        assert case.row_tags() == ("nonneg-a", "nonneg-m", "r")
+        assert case.system().constraints[:2] == (
+            ((-1, 0), LE, 0),
+            ((0, -1), LE, 0),
+        )
+
+    @pytest.mark.parametrize(
+        "note",
+        [
+            "y <= 1",  # a name outside the case's variables
+            "x - y + y <= 1",  # even with a zero net coefficient
+            "x*m <= 1",  # a product of two variables
+            "xm <= 1",
+            "x m <= 1",
+            "2(x) <= 1",
+            "x + m: no relation",
+            "x = 1",
+            "x <= m <= 1",  # two relations
+            "x < m > 1",
+            "<= 1",  # an empty side
+            "x >= : prose",
+            "x + <= 1",
+            "x/0 <= 1",  # a zero divisor
+            "(1+x)/0 <= 1",
+            "((1+x))/3 <= 1",
+        ],
+    )
+    def test_refuses_a_note_that_states_no_linear_row(self, note):
+        with pytest.raises(ValueError, match="demo case 'main' row 'r'"):
+            self._case(("r", note))
+
+    def test_refuses_a_duplicate_tag(self):
+        with pytest.raises(ValueError, match="demo case 'main': duplicate row tags"):
+            self._case(("r", "x <= 1"), ("r", "a <= 1"))
+        with pytest.raises(ValueError, match="duplicate"):
+            self._case(("nonneg-x", "x <= 1"))
 
 
 class TestVerification:
