@@ -4,9 +4,19 @@ Ampleness and pseudo-effectivity tests, the threshold mu at which K + t*A
 meets the effective-cone boundary, and the classification of an ample class
 into the P2 / F1 / P1xP1 shape with its coefficient data (a_i, delta, s_A)
 and the generators of the boundary face.  Everything runs in exact rational
-arithmetic; every cone-membership answer is certified by a primal solution
-or a Farkas witness, and the boundary face by a nef class that vanishes on
-exactly its generators.
+arithmetic.
+
+The effective cone is spanned by the 240 (-1)-classes; its dual, the nef
+cone, has the W(E8) orbits of H and H - e1 as extremal rays.  Noether-Cremona
+reduction (`_chamber`) moves a class d*H - sum(m_i e_i) into the
+fundamental chamber of W(E8) (m_i descending, d >= m1 + m2 + m3), where it
+pairs least with H and H - e1 among their orbits.  Pseudo-effectivity and mu
+are read off that chamber representative.  mu is certified by a nef ray N
+with (K + mu*A).N = 0, checked against the 240 classes, and by the
+recomposition of K + mu*A that `classify` validates.  The boundary face is
+certified by a nef class that vanishes on exactly its generators.
+`membership_certificate` keeps the exact LP for callers that want a primal
+decomposition or a Farkas witness.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linprog import OPTIMAL, LPProblem, LPResult, solve
+from .linprog import LPProblem, LPResult, solve
 from .picard import (
     PicardClass,
     canonical_class,
@@ -96,32 +106,89 @@ def membership_certificate(v: PicardClass) -> LPResult:
     return solve(problem)
 
 
+# The length of the longest element of W(E8), its number of positive roots.
+_LONGEST_WORD = 120
+
+
+def _reflect(v: list[int], i: int) -> None:
+    """Apply the simple reflection i to integral coordinates, in place.
+
+    i = 0 is the reflection in H - e1 - e2 - e3, v -> v + (v.a)a; i = 1..7
+    is the one in e_i - e_(i+1), which swaps those two coordinates.
+    """
+    if i:
+        v[i], v[i + 1] = v[i + 1], v[i]
+    else:
+        t = v[0] + v[1] + v[2] + v[3]
+        v[0] += t
+        v[1] -= t
+        v[2] -= t
+        v[3] -= t
+
+
+def _chamber(row: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Noether-Cremona reduction: (w, w(row)) with w(row) in the fundamental chamber.
+
+    Write row = dH - sum(m_i e_i) (the coordinates hold -m_i).  Sort the m_i
+    descending by swaps in e_i - e_(i+1); while d < m1 + m2 + m3, reflect in
+    H - e1 - e2 - e3 and sort again.  w lists the simple reflections applied,
+    in order.  Each one pairs negatively with the current class, which
+    removes one positive root from those the class pairs negatively with, so
+    w has at most 120 letters.
+    """
+    v = list(row)
+    word: list[int] = []
+    while len(word) <= _LONGEST_WORD:
+        i = next((i for i in range(1, 8) if v[i] > v[i + 1]), 0)
+        if not i and v[0] + v[1] + v[2] + v[3] >= 0:
+            return word, v
+        _reflect(v, i)
+        word.append(i)
+    raise UnclassifiableError("Noether-Cremona reduction did not reach the chamber")
+
+
 def is_pseudoeffective(v: PicardClass) -> bool:
-    """True iff v is a nonnegative rational combination of (-1)-classes."""
-    return membership_certificate(v).status == OPTIMAL
+    """True iff v is a nonnegative rational combination of (-1)-classes.
+
+    The effective cone is dual to the nef cone, whose extremal rays are the
+    W(E8) orbits of H and H - e1.  A chamber class pairs least with the
+    dominant member of each orbit, so v is effective iff its chamber
+    representative d'H - sum(m'_i e_i) has d' >= 0 and d' - m'_1 >= 0.
+    """
+    _, (d, minus_m1, *_) = _chamber(clear(v.coeffs)[1])
+    return d >= 0 and d + minus_m1 >= 0
+
+
+_H_RAY = (1, 0, 0, 0, 0, 0, 0, 0, 0)
+_CONIC_RAY = (1, -1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def mu_threshold(A: PicardClass) -> Fraction:
-    """Least t > 0 with K + t*A effective, as a single exact LP over (c, t)."""
+    """Least t > 0 with K + t*A effective, from A's chamber representative.
+
+    With A = row/den for an integral row and w(row) = d'H - sum(m'_i e_i) in
+    the fundamental chamber (see `_chamber`),
+    mu = max(2*den/(d' - m'_1), 3*den/d'): K.(H - e1) = -2 and K.H = -3, and
+    w(A) pairs least with H - e1 and H among their W(E8) orbits, the nef
+    cone's extremal rays.  The ray N' that attains the maximum is mapped
+    back to N = w^-1(N'), and N.E >= 0 on the 240 (-1)-classes with
+    (K + mu*A).N = 0 is checked in integers: N is nef, so K + t*A is not
+    effective for t < mu.
+    """
     if not is_ample(A):
         raise ValueError("mu_threshold requires an ample class")
-    # coordinates of: sum(c_E * E) - t*A = K
-    rows = tuple(row + (-x,) for row, x in zip(_generator_rows(), A.coeffs))
-    n = len(rows[0])
-    problem = LPProblem(
-        objective=(Fraction(0),) * (n - 1) + (Fraction(1),),
-        rows=rows,
-        rhs=tuple(canonical_class().coeffs),
-        nonneg=(True,) * n,
+    denom, row = clear(A.coeffs)
+    word, (d, minus_m1, *_) = _chamber(row)
+    mu, ray = max(
+        (Fraction(2 * denom, d + minus_m1), _CONIC_RAY), (Fraction(3 * denom, d), _H_RAY)
     )
-    result = solve(problem)
-    if result.status != OPTIMAL:
-        raise UnclassifiableError(
-            f"threshold LP ended {result.status} for A = {format_class(A)}"
-        )
-    mu = result.objective_value
-    if mu <= 0:
-        raise UnclassifiableError("threshold came out nonpositive for an ample class")
+    n = list(ray)
+    for i in reversed(word):
+        _reflect(n, i)
+    if any(p < 0 for p in _pairings(n)) or (
+        mu.denominator * denom * dot(_K_ROW, n) + mu.numerator * dot(row, n)
+    ):
+        raise UnclassifiableError(f"nef-ray certificate failed for A = {format_class(A)}")
     return mu
 
 
@@ -272,13 +339,11 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
             raise UnclassifiableError("coefficients not sorted")
     if a[-1] < 0 or profile.delta < 0:
         raise UnclassifiableError("negative coefficient in decomposition")
-    target = canonical_class() + profile.mu * A
-    total = PicardClass([0] * 9)
-    for coeff, e in zip(a, profile.basis):
-        total = total + coeff * e
+    terms = list(zip(a, profile.basis))
     if profile.conic is not None:
-        total = total + profile.delta * profile.conic
-    if total != target:
+        terms.append((profile.delta, profile.conic))
+    total = tuple(sum(c * e.coeffs[i] for c, e in terms if e.coeffs[i]) for i in range(9))
+    if total != tuple(k + profile.mu * x for k, x in zip(_K_ROW, A.coeffs)):
         raise UnclassifiableError("recomposition identity failed")
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dp1alpha.cone as cone
+import dp1alpha.linprog as linprog
 import test_acceptance
-from dp1alpha.alpha import alpha_conjecture
+from dp1alpha.alpha import alpha_conjecture, counterexample_report
 from dp1alpha.cone import (
     F1,
     P1XP1,
@@ -104,6 +105,19 @@ class TestPseudoEffectivity:
         assert is_pseudoeffective(-K)
         assert not is_pseudoeffective(2 * K)
 
+    def test_agrees_with_lp_oracle(self):
+        rng = random.Random(11)
+        points = [ZERO, -E(1), 2 * K, -K] + [
+            PicardClass(
+                [Fraction(rng.randint(-6, 9), rng.randint(1, 4))]
+                + [Fraction(rng.randint(-4, 3), rng.randint(1, 4)) for _ in range(8)]
+            )
+            for _ in range(300)
+        ]
+        answers = [is_pseudoeffective(v) for v in points]
+        assert answers == [membership_certificate(v).status == OPTIMAL for v in points]
+        assert 50 <= sum(answers) <= 250
+
 
 class TestMuThreshold:
     def test_anticanonical(self):
@@ -119,14 +133,14 @@ class TestMuThreshold:
     def test_scaling_law(self):
         a = -K + Fraction(1, 3) * LEX_FIRST
         mu = mu_threshold(a)
-        for c in [Fraction(2), Fraction(1, 2), Fraction(7, 3)]:
+        long = 10**299 + 7  # 300 digits
+        for c in [Fraction(2), Fraction(1, 2), Fraction(7, 3), Fraction(long),
+                  Fraction(1, long), Fraction(long, 3 * 10**299 + 1)]:
             assert mu_threshold(c * a) == mu / c
 
     def test_boundary_sharpness(self):
         for a in [-K, -K + Fraction(1, 2) * LEX_FIRST, -3 * K + E(1) + E(2)]:
-            mu = mu_threshold(a)
-            assert is_pseudoeffective(K + mu * a)
-            assert not is_pseudoeffective(K + (mu * Fraction(999, 1000)) * a)
+            assert _lp_oracle_agrees(a, mu_threshold(a))
 
     def test_rejects_non_ample(self):
         with pytest.raises(ValueError):
@@ -383,9 +397,20 @@ class TestClassify:
         )
 
 
-def _criterion_10_classes(count: int) -> list[PicardClass]:
-    """The first ample classes acceptance criterion 10 draws (the benchmark's pool)."""
-    return test_acceptance._random_ample_classes(random.Random(424242), count)
+def _criterion_10_classes(count: int, seed: int = 424242) -> list[PicardClass]:
+    """The first ample classes acceptance criterion 10's generator draws at ``seed``.
+
+    The default seed gives the benchmark's pool.
+    """
+    return test_acceptance._random_ample_classes(random.Random(seed), count)
+
+
+def _lp_oracle_agrees(a: PicardClass, mu: Fraction) -> bool:
+    """K + mu*A is a nonnegative combination of (-1)-classes and K + (999/1000)mu*A is not."""
+    return (
+        membership_certificate(K + mu * a).status == OPTIMAL
+        and membership_certificate(K + (Fraction(999, 1000) * mu) * a).status == INFEASIBLE
+    )
 
 
 PENCIL = [
@@ -431,19 +456,21 @@ class TestBoundaryFace:
                 assert pairing(witness, e) >= 0
                 assert (pairing(witness, e) == 0) == (e in profile.face_generators)
 
-    def test_one_solve_per_class(self, monkeypatch):
+    def test_no_solve_per_class(self, monkeypatch):
         calls = []
-        real = cone.solve
+        real = linprog.solve
 
         def recording(problem):
             calls.append(problem)
             return real(problem)
 
         monkeypatch.setattr(cone, "solve", recording)
+        monkeypatch.setattr(linprog, "solve", recording)
         for a in PENCIL + _criterion_10_classes(8):
-            calls.clear()
             classify(a)
-            assert len(calls) == 1
+        for lam in [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]:
+            counterexample_report(lam)
+        assert calls == []
 
     def test_rejects_a_class_off_the_boundary(self):
         # -K pairs positively with every generator, and -K itself is no
@@ -659,3 +686,72 @@ class TestComplementParity:
             assert section != even
             found_even += even
             found_odd += not even
+
+
+def _word_and_chamber(v: PicardClass) -> tuple[list[int], list[int]]:
+    return cone._chamber(cone.clear(v.coeffs)[1])
+
+
+class TestChamber:
+    """mu and pseudo-effectivity read off the W(E8) fundamental chamber."""
+
+    @pytest.mark.parametrize("seed", [5, 77, 3])
+    def test_mu_agrees_with_lp_oracle(self, seed):
+        for a in _criterion_10_classes(20, seed):
+            assert _lp_oracle_agrees(a, mu_threshold(a))
+
+    @given(st.sampled_from(range(len(_WEYL_POOL))), st.lists(_WEYL_STEPS, min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_mu_agrees_with_lp_oracle_on_weyl_images(self, index, word):
+        a = _WEYL_POOL[index]
+        image = _applied(word, a)
+        mu = mu_threshold(image)
+        assert mu == mu_threshold(a)
+        assert _lp_oracle_agrees(image, mu)
+
+    def test_chamber_class_is_dominant_and_in_the_orbit(self):
+        simple_roots = [H - _sum_e([1, 2, 3])] + [E(i) - E(i + 1) for i in range(1, 8)]
+        for v in _criterion_10_classes(20) + PENCIL + [2 * K, -E(1), H - 3 * E(2)]:
+            word, chamber = _word_and_chamber(v)
+            d, m = chamber[0], [-c for c in chamber[1:]]
+            assert m == sorted(m, reverse=True) and d >= m[0] + m[1] + m[2]
+            denom = cone.clear(v.coeffs)[0]
+            assert _applied([simple_roots[i] for i in word], v) == PicardClass(
+                Fraction(c, denom) for c in chamber
+            )
+
+    def test_bertini_image_of_a_regular_class_takes_the_longest_word(self):
+        # Bertini acts as -1 on K's orthogonal complement, which is the
+        # longest element of W(E8): 120 simple reflections lead back
+        a = PicardClass([100, -30, -29, -28, -27, -26, -25, -24, -23])
+        word, chamber = _word_and_chamber(bertini(a))
+        assert len(word) == 120
+        assert chamber == [int(c) for c in a.coeffs]
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(9, 10), Fraction(999, 1000)])
+    def test_pencil_is_dominant_on_zero_to_one(self, lam):
+        a = -K + lam * E(8)
+        assert _word_and_chamber(a)[0] == []
+        assert mu_threshold(a) == 1
+
+    def test_pencil_below_zero_has_one_word(self):
+        words = set()
+        for lam in [Fraction(-8, 25), Fraction(-1, 4), Fraction(-1, 5), Fraction(-1, 10),
+                    Fraction(-1, 100)]:
+            a = -K + lam * E(8)
+            assert mu_threshold(a) == 1 / (1 + 2 * lam)
+            word, chamber = _word_and_chamber(a)
+            denom = cone.clear(a.coeffs)[0]
+            closed_form = (1 + 2 * lam) * -K - lam * E(8)
+            assert PicardClass(Fraction(c, denom) for c in chamber) == closed_form
+            words.add(tuple(word))
+        (word,) = words
+        assert word.count(0) == 5
+
+    def test_swapped_rays_fail_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(cone, "_H_RAY", cone._CONIC_RAY)
+        monkeypatch.setattr(cone, "_CONIC_RAY", (1,) + (0,) * 8)
+        with pytest.raises(UnclassifiableError):
+            for a in _criterion_10_classes(8) + PENCIL:
+                mu_threshold(a)
