@@ -166,9 +166,9 @@ _CONIC_RAY = (1, -1, 0, 0, 0, 0, 0, 0, 0)
 def mu_threshold(A: PicardClass) -> Fraction:
     """Least t > 0 with K + t*A effective, from A's chamber representative.
 
-    With A = row/den for an integral row and w(row) = d'H - sum(m'_i e_i) in
-    the fundamental chamber (see `_chamber`),
-    mu = max(2*den/(d' - m'_1), 3*den/d'): K.(H - e1) = -2 and K.H = -3, and
+    With A = row/denom for an integral row and w(row) = d'H - sum(m'_i e_i)
+    in the fundamental chamber (see `_chamber`),
+    mu = max(2*denom/(d' - m'_1), 3*denom/d'): K.(H - e1) = -2 and K.H = -3, and
     w(A) pairs least with H - e1 and H among their W(E8) orbits, the nef
     cone's extremal rays.  The ray N' that attains the maximum is mapped
     back to N = w^-1(N'), and N.E >= 0 on the 240 (-1)-classes with

@@ -750,8 +750,9 @@ class TestChamber:
         assert word.count(0) == 5
 
     def test_swapped_rays_fail_the_certificate(self, monkeypatch):
-        monkeypatch.setattr(cone, "_H_RAY", cone._CONIC_RAY)
-        monkeypatch.setattr(cone, "_CONIC_RAY", (1,) + (0,) * 8)
+        h_ray, conic_ray = cone._H_RAY, cone._CONIC_RAY
+        monkeypatch.setattr(cone, "_H_RAY", conic_ray)
+        monkeypatch.setattr(cone, "_CONIC_RAY", h_ray)
         with pytest.raises(UnclassifiableError):
             for a in _criterion_10_classes(8) + PENCIL:
                 mu_threshold(a)
