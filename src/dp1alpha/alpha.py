@@ -308,8 +308,10 @@ def counterexample_report(lam: Fraction | int | str) -> CounterexampleReport:
 
     The surface is the fixed smooth one with a = x^4 and b = y^6: it has no
     cuspidal anticanonical member (so its global alpha is 1) and a unique
-    section pair meeting at a single tangency point.  The two closed forms
-    agree for lambda <= 1/3 and differ for lambda > 1/3.
+    section pair meeting at a single tangency point.  On the range this
+    function accepts, 0 <= lambda < 1, the two closed forms agree for
+    lambda <= 1/3 and differ for lambda > 1/3; it refuses any other lambda
+    and says nothing about lambda < 0.
     """
     lam = Fraction(lam)
     if not 0 <= lam < 1:

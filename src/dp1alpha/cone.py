@@ -10,8 +10,9 @@ The effective cone is spanned by the 240 (-1)-classes; its dual, the nef
 cone, has the W(E8) orbits of H and H - e1 as extremal rays.  Noether-Cremona
 reduction (`_chamber`) moves a class d*H - sum(m_i e_i) into the
 fundamental chamber of W(E8) (m_i descending, d >= m1 + m2 + m3), where it
-pairs least with H and H - e1 among their orbits.  Pseudo-effectivity and mu
-are read off that chamber representative.  mu is certified by a nef ray N
+pairs least with H and H - e1 among their orbits, and with e8 among the
+240 (-1)-classes, which are one orbit.  Ampleness, pseudo-effectivity and
+mu are read off that chamber representative.  mu is certified by a nef ray N
 with (K + mu*A).N = 0, checked against the 240 classes, and by the
 recomposition of K + mu*A that `classify` validates.  The boundary face is
 certified by a nef class that vanishes on exactly its generators.
@@ -78,14 +79,6 @@ def _generator_rows() -> tuple[tuple[int, ...], ...]:
 def _pairings(w: tuple[int, ...]):
     """w.E for the 240 (-1)-classes E in enumeration order, for integral w."""
     return (dot(w, row) for row in enumerate_minus_one_classes().rows)
-
-
-def is_ample(v: PicardClass) -> bool:
-    """True iff v has positive square and pairs positively with -K and all (-1)-classes."""
-    w = clear(v.coeffs)[1]
-    if dot(w, w) <= 0 or dot(w, _K_ROW) >= 0:
-        return False
-    return all(p > 0 for p in _pairings(w))
 
 
 def membership_certificate(v: PicardClass) -> LPResult:
@@ -159,6 +152,21 @@ def is_pseudoeffective(v: PicardClass) -> bool:
     return d >= 0 and d + minus_m1 >= 0
 
 
+def is_ample(v: PicardClass) -> bool:
+    """True iff v pairs positively with all 240 (-1)-classes, read off its chamber.
+
+    On a degree-one del Pezzo surface the (-1)-classes span the cone of
+    curves, so this is ampleness; v.v > 0 and -K.v > 0 follow.  W(E8)
+    permutes the 240 classes, which form the orbit of e8.  e8 pairs
+    non-negatively with every simple root, so each w(e8) - e8 is a
+    non-negative sum of simple roots, and a chamber class, which pairs
+    non-negatively with them too, pairs least with e8 among the 240.  So v
+    is ample iff its chamber representative d'H - sum(m'_i e_i) (see
+    `_chamber`) has m'_8 > 0: the chamber row's last coordinate is -m'_8.
+    """
+    return _chamber(clear(v.coeffs)[1])[1][-1] < 0
+
+
 _H_RAY = (1, 0, 0, 0, 0, 0, 0, 0, 0)
 _CONIC_RAY = (1, -1, 0, 0, 0, 0, 0, 0, 0)
 
@@ -173,12 +181,13 @@ def mu_threshold(A: PicardClass) -> Fraction:
     cone's extremal rays.  The ray N' that attains the maximum is mapped
     back to N = w^-1(N'), and N.E >= 0 on the 240 (-1)-classes with
     (K + mu*A).N = 0 is checked in integers: N is nef, so K + t*A is not
-    effective for t < mu.
+    effective for t < mu.  A class with m'_8 <= 0 is refused: that is
+    `is_ample`'s test, read off the same reduction.
     """
-    if not is_ample(A):
-        raise ValueError("mu_threshold requires an ample class")
     denom, row = clear(A.coeffs)
-    word, (d, minus_m1, *_) = _chamber(row)
+    word, (d, minus_m1, *_, minus_m8) = _chamber(row)
+    if minus_m8 >= 0:
+        raise ValueError("mu_threshold requires an ample class")
     mu, ray = max(
         (Fraction(2 * denom, d + minus_m1), _CONIC_RAY), (Fraction(3 * denom, d), _H_RAY)
     )
@@ -375,16 +384,15 @@ def classify(A: PicardClass) -> PolarizationProfile:
             (Fraction(0), p) for p, q in fibres if p < q and not in_negative & {p, q}
         ]
     selected = [e for _, e in chosen]
-    extended = _extend_to_disjoint_eight(selected) if conic is None else None
-    if extended is not None:
+    extended = _extend_to_disjoint_eight(selected)
+    if conic is None and extended is not None:
         padded = chosen + [(Fraction(0), e) for e in extended[len(selected) :]]
         profile = _profile(P2, mu, padded, delta, face, None)
     else:
         even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
+        has_section = extended is not None
         if conic is None:
-            has_section, conic = False, _orthogonal_conic(selected)
-        else:
-            has_section = _extend_to_disjoint_eight(selected) is not None
+            conic = _orthogonal_conic(selected)
         if has_section == even:
             raise UnclassifiableError("section search disagrees with the lattice parity test")
         profile = _profile(F1 if has_section else P1XP1, mu, chosen, delta, face, conic)

@@ -1,0 +1,125 @@
+"""Compare the CLI's exit code, stdout and stderr with another checkout's.
+
+    python3 tests/compare_outputs.py PARENT_DIR
+
+Runs each argv of a fixed list as ``python3 -m dp1alpha.cli ARGV`` in this
+checkout and in PARENT_DIR (a `git archive` copy of another commit, say),
+each with its own ``src`` on PYTHONPATH, COLUMNS=80 and no bytecode
+written, and compares exit code, stdout and stderr byte for byte.  Exits 0
+when every argv agrees, and 1 at the first that differs, naming it.  The
+list:
+
+- every command of README.md's Subcommands block, with both `curves
+  enumerate` kinds;
+- `ample`, `classify` and `alpha conjecture` on the first 75 draws of
+  acceptance criterion 10's generator at seeds 5 and 77: the ample ones it
+  keeps, and the ones it rejects, which test the error paths;
+- `counterexample --lambda k/40` for k = 0..39;
+- the bad-input commands of test_cli.TestColdProcess.
+
+It uses only the standard library, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+README = [
+    ["curves", "enumerate"],
+    ["curves", "enumerate", "--kind", "minus-one"],
+    ["curves", "enumerate", "--kind", "conic"],
+    ["ample", "--class", "3,-1,-1,-1,-1,-1,-1,-1,-1/2"],
+    ["classify", "--class", "3,-1,-1,-1,-1,-1,-1,-1,-1/2"],
+    ["alpha", "conjecture", "--class", "3,-1,-1,-1,-1,-1,-1,-1,-1/2"],
+    ["alpha", "theorem", "--lambda", "1/2", "--n", "1", "--alpha-s", "1"],
+    ["alpha", "theorem", "--lambda", "-1/5", "--n", "2", "--alpha-s", "5/6",
+     "--allow-negative-lambda"],
+    ["alpha", "table", "--degree", "1", "--flags", "no-cuspidal"],
+    ["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1"],
+    ["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1",
+     "--q", "2:0,0,0", "--g", "3:0,0,0,1"],
+    ["counterexample", "--lambda", "1/2"],
+    ["range", "kstable", "--lambda", "1/5"],
+    ["range", "cylinder", "--lambda", "-1/4"],
+    ["lemma", "verify", "local-1"],
+    ["lemma", "verify", "local-1", "--probe", "main:x-cap"],
+]
+
+BAD_INPUT = [
+    ["lemma", "verify", "local-1", "--probe", "main:mult"],
+    ["surface", "analyze", "--a", "4:1,0,0,0,0", "--b", "6:0,0,0,0,0,0,1",
+     "--q", "2:0,0,0", "--g", "3:1,0,0,1"],
+    ["counterexample", "--lambda", "3/2"],
+    ["lemma", "verify", "nosuch"],
+    ["lemma", "verify", "--help"],
+    ["alpha", "theorem", "--lambda", "1/2", "--n", "4", "--alpha-s", "1"],
+]
+
+
+def criterion_10_draws(seed: int, count: int = 75) -> list[str]:
+    """The first `count` classes test_acceptance._random_ample_classes draws at `seed`.
+
+    Each draw is scale*(-K) + sum(F(a_i, b_i) * e_i); the generator keeps
+    the ample ones.
+    """
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(count):
+        scale = rng.randint(2, 5)
+        row = [Fraction(3 * scale)] + [
+            Fraction(-scale) + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)
+        ]
+        drawn.append(",".join(map(str, row)))
+    return drawn
+
+
+def argvs() -> list[list[str]]:
+    classes = criterion_10_draws(5) + criterion_10_draws(77)
+    return (
+        README
+        + [[*command, "--class", text] for text in classes
+           for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
+        + [["counterexample", "--lambda", str(Fraction(k, 40))] for k in range(40)]
+        + BAD_INPUT
+    )
+
+
+def run(root: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "dp1alpha.cli", *argv],
+        capture_output=True, env=env, cwd=root / "src",
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1 or not (Path(args[0]) / "src" / "dp1alpha").is_dir():
+        print("usage: python3 tests/compare_outputs.py PARENT_DIR (a checkout with src/dp1alpha)",
+              file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    commands = argvs()
+    with ThreadPoolExecutor(2) as pool:
+        for argv in commands:
+            mine, theirs = pool.map(lambda root: run(root, argv), (HERE, parent))
+            if mine != theirs:
+                print(f"differs: dp1alpha {' '.join(argv)}")
+                for name, (code, out, err) in (("this tree", mine), ("parent", theirs)):
+                    print(f"  {name}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}")
+                return 1
+    print(f"{len(commands)} argvs: identical exit code, stdout and stderr")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

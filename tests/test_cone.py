@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,12 @@ from dp1alpha.picard import (
     enumerate_conic_classes,
     enumerate_minus_one_classes,
     exceptional_class,
+    format_class,
     hyperplane_class,
     pairing,
     parse_class,
 )
+from reference_ample import is_ample as reference_is_ample
 from reference_face import _face_of, minimal_face, minimal_face_by_generator
 from reference_parity import complement_is_even as reference_complement_is_even
 
@@ -46,6 +49,23 @@ H = hyperplane_class()
 E = exceptional_class
 ZERO = PicardClass([0] * 9)
 LEX_FIRST = sorted(enumerate_minus_one_classes().members)[0]
+
+
+def _reflected(v: PicardClass, root: PicardClass) -> PicardClass:
+    return v + pairing(v, root) * root
+
+
+# E(1) fails every condition of ampleness.  H and -K + e8 have positive
+# square and degree and are nef, but pair to 0 with H - e1 - e2 and with e8;
+# the last two are their images under the reflections in H - e1 - e2 - e3
+# and H - e6 - e7 - e8.
+NOT_AMPLE = [
+    pytest.param(E(1), id="e1"),
+    pytest.param(H, id="H"),
+    pytest.param(-K + E(8), id="-K+e8"),
+    pytest.param(_reflected(H, H - E(1) - E(2) - E(3)), id="2H-e1-e2-e3"),
+    pytest.param(_reflected(-K + E(8), H - E(6) - E(7) - E(8)), id="-K+H-e6-e7"),
+]
 
 
 class TestAmpleness:
@@ -72,6 +92,71 @@ class TestAmpleness:
         c = LEX_FIRST
         assert not is_ample(-K + Fraction(-1, 3) * c)
         assert not is_ample(-K + 1 * c)
+
+
+@lru_cache(maxsize=None)
+def _positive_roots() -> tuple[PicardClass, ...]:
+    """The 120 roots e_i - e_j (i < j), H - three e's, 2H - six e's, 3H - 2e_i - the other seven."""
+    return tuple(
+        [E(i) - E(j) for i, j in combinations(range(1, 9), 2)]
+        + [H - _sum_e(s) for s in combinations(range(1, 9), 3)]
+        + [2 * H - _sum_e(s) for s in combinations(range(1, 9), 6)]
+        + [3 * H - E(i) - _sum_e(range(1, 9)) for i in range(1, 9)]
+    )
+
+
+def _random_word(rng: random.Random, length: int) -> list[PicardClass | None]:
+    """Reflections in random roots, and Bertini (None) one step in ten."""
+    return [None if rng.random() < 0.1 else rng.choice(_positive_roots()) for _ in range(length)]
+
+
+class TestAmplenessOracle:
+    """The chamber test against the 240-class scan of tests/reference_ample.py."""
+
+    @staticmethod
+    def _disagreements(classes: list[PicardClass]) -> list[str]:
+        return [format_class(v) for v in classes if is_ample(v) is not reference_is_ample(v)]
+
+    def test_the_words_use_the_120_positive_roots(self):
+        roots = _positive_roots()
+        assert len(set(roots)) == 120
+        assert all(pairing(r, r) == -2 and pairing(r, K) == 0 for r in roots)
+
+    def test_weyl_images_of_classes_near_anticanonical(self):
+        rng = random.Random(23)
+        classes = []
+        for _ in range(3000):
+            offset = PicardClass(Fraction(rng.randint(-6, 6), 12) for _ in range(9))
+            v = rng.choice([1, 2, 3, 5]) * (-K + offset)
+            classes.append(_applied(_random_word(rng, rng.randint(0, 4)), v))
+        assert self._disagreements(classes) == []
+        assert 300 < sum(map(is_ample, classes)) < 2700
+
+    def test_integer_classes(self):
+        rng = random.Random(29)
+        classes = [ZERO, K, -H, -K] + [
+            PicardClass([rng.randint(-3, 15)] + [rng.randint(-5, 1) for _ in range(8)])
+            for _ in range(1000)
+        ]
+        assert self._disagreements(classes) == []
+        assert 5 < sum(map(is_ample, classes)) < 100
+
+    def test_nef_rays_that_are_not_ample_and_their_neighbours(self):
+        # c*N for N = H, H - e1, -K + e8 has m'_8 = 0; moving it by
+        # eps*(-K) makes it ample for eps > 0 and not nef for eps < 0
+        rng = random.Random(31)
+        rays = [H, H - E(1), -K + E(8)]
+        on_ray, nearby = [], []
+        for _ in range(1000):
+            n = _applied(_random_word(rng, rng.randint(0, 4)), rng.choice(rays))
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 7))
+            on_ray.append(c * n)
+            eps = Fraction(rng.choice([-1, 1]), rng.randint(2, 100))
+            nearby.append(abs(c) * (n - eps * K))
+        assert self._disagreements(on_ray) == []
+        assert not any(map(is_ample, on_ray))
+        assert self._disagreements(nearby) == []
+        assert 300 < sum(map(is_ample, nearby)) < 700
 
 
 class TestPseudoEffectivity:
@@ -142,9 +227,11 @@ class TestMuThreshold:
         for a in [-K, -K + Fraction(1, 2) * LEX_FIRST, -3 * K + E(1) + E(2)]:
             assert _lp_oracle_agrees(a, mu_threshold(a))
 
-    def test_rejects_non_ample(self):
-        with pytest.raises(ValueError):
-            mu_threshold(E(1))
+    @pytest.mark.parametrize("v", NOT_AMPLE)
+    def test_rejects_non_ample(self, v):
+        assert not reference_is_ample(v)
+        with pytest.raises(ValueError, match="^mu_threshold requires an ample class$"):
+            mu_threshold(v)
 
 
 class TestMinimalFace:
@@ -284,9 +371,11 @@ class TestClassify:
         assert E(1) in profile.basis
         _profile_checks(profile, 8)
 
-    def test_rejects_non_ample(self):
-        with pytest.raises(ValueError):
-            classify(E(1))
+    @pytest.mark.parametrize("v", NOT_AMPLE)
+    def test_rejects_non_ample(self, v):
+        assert not reference_is_ample(v)
+        with pytest.raises(ValueError, match="^classify requires an ample class$"):
+            classify(v)
 
     def test_recomposition_on_random_ample_classes(self):
         rng = random.Random(97)
@@ -483,10 +572,6 @@ def _permuted(v: PicardClass, perm: list[int]) -> PicardClass:
     return PicardClass((v.coeffs[0],) + tuple(v.coeffs[1 + i] for i in perm))
 
 
-def _reflected(v: PicardClass, root: PicardClass) -> PicardClass:
-    return v + pairing(v, root) * root
-
-
 def _sum_e(indices) -> PicardClass:
     return sum((E(i) for i in indices), ZERO)
 
@@ -569,7 +654,7 @@ class TestWeylInvariance:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_ampleness_is_invariant(self, scale, shift, word):
         v = scale * -K + PicardClass(shift)
-        assert is_ample(_applied(word, v)) is is_ample(v)
+        assert is_ample(_applied(word, v)) is reference_is_ample(v)
 
     def test_reflection_is_an_isometry_fixing_k(self):
         root = H - E(1) - E(4) - E(7)
