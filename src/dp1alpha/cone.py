@@ -202,43 +202,40 @@ def mu_threshold(A: PicardClass) -> Fraction:
 
 
 def _boundary_split(
-    boundary: PicardClass,
-) -> tuple[
-    list[tuple[Fraction, PicardClass]], Fraction, PicardClass | None, frozenset[PicardClass]
-]:
+    w: tuple[int, ...],
+) -> tuple[list[tuple[int, int]], int, tuple[int, ...] | None, set[int]]:
     """Read D = K + mu*A as sum(a_E * E) + delta*C off the lattice, with its face.
 
-    Distinct (-1)-classes meet non-negatively and a conic class C is nef, so
-    in D = sum(a_i * E_i) + delta*C with disjoint E_i orthogonal to C,
-    exactly the E_i with a_i > 0 pair negatively with D, each to -a_i.  The
-    scan takes N = {E : D.E < 0} with coefficients -D.E; the residual
-    R = D - sum(-D.E * E) must be 0 or delta*C with delta > 0.
+    D is given as the integer row w = s*D for some positive scale s, and
+    (-1)-classes by their indices in enumeration order.  Distinct
+    (-1)-classes meet non-negatively and a conic class C is nef, so in
+    D = sum(a_i * E_i) + delta*C with disjoint E_i orthogonal to C, exactly
+    the E_i with a_i > 0 pair negatively with D, each to -a_i.  The scan
+    takes N = {E : w.E < 0} with coefficients -w.E = s*a_E; the residual
+    R = w - sum(-w.E * E) must be 0 or s*delta*C with delta > 0.
 
-    Returns N with its coefficients (in enumeration order), delta, C or
-    None, and the generators of the minimal face of D:
+    Returns N as (index, s*a_E) pairs in enumeration order, 2*s*delta, the
+    row of C or None, and the indices of the minimal face of D:
 
     - R = 0: the face is N.  L = -K + sum(N), the pull-back of -K from
       contracting N, is nef and vanishes on D; L.E = 1 + sum(E'.E for E'
       in N) >= 1 for every generator E outside N.
-    - R = delta*C: the face is {E : E.C = 0}, the 14 components of the
+    - R = s*delta*C: the face is {E : E.C = 0}, the 14 components of the
       seven reducible fibres.  C.D = 0 with C nef keeps every other
       generator out, and C = p + q on each fibre puts both p and q in.
     """
-    curves = enumerate_minus_one_classes()
-    rows = curves.rows
-    denom, w = clear(boundary.coeffs)
+    rows = enumerate_minus_one_classes().rows
     negative = [(j, -p) for j, p in enumerate(_pairings(w)) if p < 0]
     residual = list(w)
     for j, coeff in negative:
         residual = [r - coeff * x for r, x in zip(residual, rows[j])]
-    split = [(Fraction(coeff, denom), curves.members[j]) for j, coeff in negative]
     if not any(residual):
-        return split, Fraction(0), None, frozenset(e for _, e in split)
+        return negative, 0, None, {j for j, _ in negative}
 
-    twice_delta = -dot(residual, _K_ROW)  # -R.K = 2*delta*denom
+    twice_delta = -dot(residual, _K_ROW)  # -R.K = 2*s*delta
     if twice_delta <= 0 or any(2 * r % twice_delta for r in residual):
         raise UnclassifiableError(
-            f"residual of {format_class(boundary)} is not a positive multiple of "
+            f"residual of {','.join(map(str, w))} is not a positive multiple of "
             "an integral class"
         )
     conic = tuple(2 * r // twice_delta for r in residual)
@@ -249,22 +246,18 @@ def _boundary_split(
         raise UnclassifiableError("residual conic class is not nef")
     if any(against_conic[j] for j, _ in negative):
         raise UnclassifiableError("negative part is not vertical for the fiber class")
-    face = frozenset(e for e, p in zip(curves, against_conic) if p == 0)
-    return split, Fraction(twice_delta, 2 * denom), PicardClass(conic), face
+    return negative, twice_delta, conic, {j for j, p in enumerate(against_conic) if p == 0}
 
 
 @lru_cache(maxsize=None)
-def _orthogonal_mask(w: tuple[int, ...]) -> int:
-    """Bit j set iff w.E = 0 for the j-th (-1)-class E, for integral w."""
-    return sum(1 << j for j, p in enumerate(_pairings(w)) if p == 0)
+def _orthogonal_mask(j: int) -> int:
+    """Bit k set iff the j-th and k-th (-1)-classes are orthogonal."""
+    row = enumerate_minus_one_classes().rows[j]
+    return sum(1 << k for k, p in enumerate(_pairings(row)) if p == 0)
 
 
-def _extend_to_disjoint_eight(
-    chosen: list[PicardClass],
-) -> list[PicardClass] | None:
-    """Extend pairwise-orthogonal (-1)-classes to 8, lex-smallest, by backtracking."""
-    curves = enumerate_minus_one_classes()
-    rows = curves.rows
+def _extend_to_disjoint_eight(chosen: list[int]) -> list[int] | None:
+    """Extend pairwise-orthogonal (-1)-classes, by index, to 8, lex-smallest, by backtracking."""
 
     def rec(current: list[int], candidates: int, start: int) -> list[int] | None:
         if len(chosen) + len(current) == 8:
@@ -273,21 +266,21 @@ def _extend_to_disjoint_eight(
         while pending:
             low = pending & -pending
             idx = low.bit_length() - 1
-            found = rec(current + [idx], candidates & _orthogonal_mask(rows[idx]), idx + 1)
+            found = rec(current + [idx], candidates & _orthogonal_mask(idx), idx + 1)
             if found is not None:
                 return found
             pending ^= low
         return None
 
-    candidates = (1 << len(curves)) - 1
-    for e in chosen:
-        candidates &= _orthogonal_mask(clear(e.coeffs)[1])
+    candidates = (1 << len(enumerate_minus_one_classes())) - 1
+    for j in chosen:
+        candidates &= _orthogonal_mask(j)
     found = rec([], candidates, 0)
-    return None if found is None else list(chosen) + [curves.members[j] for j in found]
+    return None if found is None else list(chosen) + found
 
 
-def _complement_is_even(seven: list[PicardClass]) -> bool:
-    """Parity of the rank-2 lattice L orthogonal to seven disjoint (-1)-classes.
+def _complement_is_even(seven: list[int]) -> bool:
+    """Parity of the rank-2 lattice L orthogonal to seven disjoint (-1)-classes, by index.
 
     The E_i span -I_7, which is unimodular, so L is unimodular.  K is
     characteristic (v.v = v.K mod 2 for integral v), and w = K - sum(E_i)
@@ -295,48 +288,24 @@ def _complement_is_even(seven: list[PicardClass]) -> bool:
     characteristic for L.  A unimodular lattice is even exactly when its
     characteristic vectors lie in 2L (Milnor-Husemoller), and L is
     primitive, so L is even exactly when every coordinate of w is even.
+    A repeated index fails the premise, since E.E = -1.
     """
-    minus_one = enumerate_minus_one_classes()
-    rows = [clear(e.coeffs)[1] for e in seven]
-    if len(seven) != 7 or not all(e in minus_one for e in seven) or any(
-        dot(u, v) for i, u in enumerate(rows) for v in rows[i + 1 :]
-    ):
+    all_rows = enumerate_minus_one_classes().rows
+    rows = [all_rows[j] for j in seven]
+    if len(rows) != 7 or any(dot(u, v) for i, u in enumerate(rows) for v in rows[i + 1 :]):
         raise UnclassifiableError("parity test needs seven disjoint (-1)-classes")
     w = [k - sum(col) for k, col in zip(_K_ROW, zip(*rows))]
     return all(c % 2 == 0 for c in w)
 
 
-def _orthogonal_conic(seven: list[PicardClass]) -> PicardClass:
-    """The first conic class, in enumeration order, orthogonal to all seven classes."""
-    conics = enumerate_conic_classes()
-    rows = [clear(e.coeffs)[1] for e in seven]
-    for conic, row in zip(conics, conics.rows):
+def _orthogonal_conic(seven: list[int]) -> tuple[int, ...]:
+    """The row of the first conic class, in enumeration order, orthogonal to the seven."""
+    all_rows = enumerate_minus_one_classes().rows
+    rows = [all_rows[j] for j in seven]
+    for row in enumerate_conic_classes().rows:
         if not any(dot(row, w) for w in rows):
-            return conic
+            return row
     raise UnclassifiableError("no conic class orthogonal to the seven generators")
-
-
-def _profile(
-    type_tag: str,
-    mu: Fraction,
-    coefficients: list[tuple[Fraction, PicardClass]],
-    delta: Fraction,
-    face: frozenset[PicardClass],
-    conic: PicardClass | None,
-) -> PolarizationProfile:
-    """The profile whose basis is `coefficients` sorted by descending coefficient."""
-    ordered = sorted(coefficients, key=lambda item: (-item[0], item[1]))
-    a = tuple(c for c, _ in ordered)
-    return PolarizationProfile(
-        type_tag=type_tag,
-        mu=mu,
-        a=a,
-        delta=delta,
-        s_A=sum(a[1:], Fraction(0)),
-        face_generators=face,
-        basis=tuple(e for _, e in ordered),
-        conic=conic,
-    )
 
 
 def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
@@ -368,26 +337,39 @@ def classify(A: PicardClass) -> PolarizationProfile:
     shapes are F1 when a section (a (-1)-class orthogonal to the seven)
     exists and P1xP1 when none does; the parity of their complement must
     say the same.
+
+    A is reduced to the W(E8) chamber once, inside `mu_threshold`.  The rest
+    works on (-1)-classes by their indices in enumeration order, which is
+    also their order as classes, and on integer rows over the one positive
+    scale s = den(mu)*den(A), with D written as s*K + num(mu)*den(A)*A.
+    Classes are built only for the returned profile.
     """
-    if not is_ample(A):
-        raise ValueError("classify requires an ample class")
-    mu = mu_threshold(A)
-    chosen, delta, conic, face = _boundary_split(canonical_class() + mu * A)
+    try:
+        mu = mu_threshold(A)
+    except ValueError:
+        raise ValueError("classify requires an ample class") from None
+    den, row = clear(A.coeffs)
+    s = mu.denominator * den
+    chosen, twice_delta, conic, face = _boundary_split(
+        tuple(s * k + mu.numerator * x for k, x in zip(_K_ROW, row))
+    )
+    curves = enumerate_minus_one_classes()
     if conic is not None:
         if len(face) != 14:
             raise UnclassifiableError(
                 f"fiber class has {len(face)} reducible-member components, expected 14"
             )
-        in_negative = {e for _, e in chosen}
-        fibres = ((p, conic - p) for p in sorted(face))
-        chosen = chosen + [
-            (Fraction(0), p) for p, q in fibres if p < q and not in_negative & {p, q}
-        ]
-    selected = [e for _, e in chosen]
+        in_negative = {curves.rows[j] for j, _ in chosen}
+        for j in sorted(face):
+            p = curves.rows[j]
+            q = tuple(c - x for c, x in zip(conic, p))
+            if p < q and p not in in_negative and q not in in_negative:
+                chosen.append((j, 0))
+    selected = [j for j, _ in chosen]
     extended = _extend_to_disjoint_eight(selected)
     if conic is None and extended is not None:
-        padded = chosen + [(Fraction(0), e) for e in extended[len(selected) :]]
-        profile = _profile(P2, mu, padded, delta, face, None)
+        type_tag = P2
+        chosen += [(j, 0) for j in extended[len(selected) :]]
     else:
         even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
         has_section = extended is not None
@@ -395,6 +377,18 @@ def classify(A: PicardClass) -> PolarizationProfile:
             conic = _orthogonal_conic(selected)
         if has_section == even:
             raise UnclassifiableError("section search disagrees with the lattice parity test")
-        profile = _profile(F1 if has_section else P1XP1, mu, chosen, delta, face, conic)
+        type_tag = F1 if has_section else P1XP1
+    chosen.sort(key=lambda item: (-item[1], item[0]))
+    a = tuple(Fraction(c, s) for _, c in chosen)
+    profile = PolarizationProfile(
+        type_tag=type_tag,
+        mu=mu,
+        a=a,
+        delta=Fraction(twice_delta, 2 * s),
+        s_A=sum(a[1:], Fraction(0)),
+        face_generators=frozenset(curves.members[j] for j in sorted(face)),
+        basis=tuple(curves.members[j] for j, _ in chosen),
+        conic=None if conic is None else PicardClass(conic),
+    )
     _validate_profile(profile, A)
     return profile

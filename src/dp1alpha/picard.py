@@ -173,9 +173,6 @@ class CurveClassSet:
     def __contains__(self, v: PicardClass) -> bool:
         return v in self._member_set
 
-    def index(self, v: PicardClass) -> int:
-        return self.members.index(v)
-
 
 @lru_cache(maxsize=None)
 def enumerate_minus_one_classes() -> CurveClassSet:

@@ -14,6 +14,8 @@ list:
 - `ample`, `classify` and `alpha conjecture` on the first 75 draws of
   acceptance criterion 10's generator at seeds 5 and 77: the ample ones it
   keeps, and the ones it rejects, which test the error paths;
+- `classify` and `alpha conjecture` on the classes of BRANCHES, which
+  reach the `classify` branches those draws miss;
 - `counterexample --lambda k/40` for k = 0..39;
 - the bad-input commands of test_cli.TestColdProcess.
 
@@ -81,12 +83,27 @@ def criterion_10_draws(seed: int, count: int = 75) -> list[str]:
     return drawn
 
 
+# Classes whose classify takes the branches criterion 10's draws miss: a
+# seven-class face with an even complement (P1xP1 with the first orthogonal
+# conic), one with an odd complement (P2, padded to eight), and the
+# conic-bundle classes whose fibres carry coefficient 0 (test_cone).
+BRANCHES = [
+    "19/5,-9/5,-4/5,-7/10,-3/5,-1/2,-2/5,-3/10,-9/5",
+    "3,-1,-9/10,-17/20,-4/5,-3/4,-7/10,-13/20,-3/5",
+    "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",
+    "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",
+    "9,-2,-5/2,-11/3,-1,-2,-4,-8/3,-3",
+]
+
+
 def argvs() -> list[list[str]]:
     classes = criterion_10_draws(5) + criterion_10_draws(77)
     return (
         README
         + [[*command, "--class", text] for text in classes
            for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
+        + [[*command, "--class", text] for text in BRANCHES
+           for command in (["classify"], ["alpha", "conjecture"])]
         + [["counterexample", "--lambda", str(Fraction(k, 40))] for k in range(40)]
         + BAD_INPUT
     )

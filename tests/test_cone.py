@@ -468,7 +468,7 @@ class TestClassify:
             monkeypatch.setattr(
                 cone,
                 flipped,
-                lambda chosen: list(chosen) + [LEX_FIRST] if real(chosen) is None else None,
+                lambda chosen: list(chosen) + [0] if real(chosen) is None else None,
             )
         with pytest.raises(UnclassifiableError):
             classify(parse_class(text))
@@ -561,11 +561,26 @@ class TestBoundaryFace:
             counterexample_report(lam)
         assert calls == []
 
+    def test_one_reduction_per_class(self, monkeypatch):
+        # classify reduces A to the W(E8) chamber once, inside mu_threshold,
+        # and takes its ampleness guard from that call, not from is_ample
+        calls = []
+        for name in ("_chamber", "is_ample"):
+            real = getattr(cone, name)
+            monkeypatch.setattr(
+                cone, name, lambda arg, name=name, real=real: calls.append(name) or real(arg)
+            )
+        for a in _criterion_10_classes(12) + [_even_complement_class()]:
+            calls.clear()
+            classify(a)
+            assert calls.count("_chamber") == 1
+            assert "is_ample" not in calls
+
     def test_rejects_a_class_off_the_boundary(self):
         # -K pairs positively with every generator, and -K itself is no
         # multiple of a conic class
         with pytest.raises(UnclassifiableError):
-            cone._boundary_split(-K)
+            cone._boundary_split(cone.clear((-K).coeffs)[1])
 
 
 def _permuted(v: PicardClass, perm: list[int]) -> PicardClass:
@@ -707,17 +722,23 @@ def _random_disjoint_sevens(rng: random.Random, count: int) -> list[list[PicardC
     return sevens
 
 
+def _indices(classes: list[PicardClass]) -> list[int]:
+    """The enumeration indices of (-1)-classes, the form cone's parity test takes."""
+    members = enumerate_minus_one_classes().members
+    return [members.index(e) for e in classes]
+
+
 class TestComplementParity:
     def test_even_set(self):
         from dp1alpha.cone import _complement_is_even
 
         seven = [E(i) for i in range(2, 8)] + [H - E(1) - E(8)]
-        assert _complement_is_even(seven)
+        assert _complement_is_even(_indices(seven))
 
     def test_odd_set(self):
         from dp1alpha.cone import _complement_is_even
 
-        assert not _complement_is_even([E(i) for i in range(2, 9)])
+        assert not _complement_is_even(_indices([E(i) for i in range(2, 9)]))
 
     def test_agrees_with_kernel_basis_reference(self):
         from dp1alpha.cone import _complement_is_even
@@ -725,7 +746,7 @@ class TestComplementParity:
         parities = []
         for seven in _random_disjoint_sevens(random.Random(31), 1000):
             even = reference_complement_is_even(seven)
-            assert _complement_is_even(seven) == even
+            assert _complement_is_even(_indices(seven)) == even
             parities.append(even)
         assert 100 < sum(parities) < 900
 
@@ -735,14 +756,14 @@ class TestComplementParity:
             [E(i) for i in range(2, 8)],  # six classes
             [E(i) for i in range(2, 9)] + [E(1)],  # eight classes
             [E(i) for i in range(2, 8)] + [H - E(1) - E(2)],  # meets e2
-            [E(i) for i in range(2, 8)] + [H - E(1)],  # a conic, not a (-1)-class
+            [E(i) for i in range(2, 8)] + [E(2)],  # e2 twice: E.E = -1
         ],
     )
     def test_rejects_a_broken_premise(self, classes):
         from dp1alpha.cone import _complement_is_even
 
         with pytest.raises(UnclassifiableError):
-            _complement_is_even(classes)
+            _complement_is_even(_indices(classes))
 
     def test_parity_matches_section_search(self):
         # on a sample of disjoint 7-sets: a disjoint (-1)-class exists
@@ -767,7 +788,7 @@ class TestComplementParity:
             section = any(
                 all(pairing(w, c) == 0 for c in chosen) for w in curves
             )
-            even = _complement_is_even(chosen)
+            even = _complement_is_even(_indices(chosen))
             assert section != even
             found_even += even
             found_odd += not even
