@@ -11,11 +11,13 @@ cone, has the W(E8) orbits of H and H - e1 as extremal rays.  Noether-Cremona
 reduction (`_chamber`) moves a class d*H - sum(m_i e_i) into the
 fundamental chamber of W(E8) (m_i descending, d >= m1 + m2 + m3), where it
 pairs least with H and H - e1 among their orbits, and with e8 among the
-240 (-1)-classes, which are one orbit.  Ampleness, pseudo-effectivity and
-mu are read off that chamber representative.  mu is certified by a nef ray N
-with (K + mu*A).N = 0, checked against the 240 classes, and by the
-recomposition of K + mu*A that `classify` validates.  The boundary face is
-certified by a nef class that vanishes on exactly its generators.
+240 (-1)-classes, which are one orbit.  It applies the simple reflections
+of `picard._reflect`, the ones that build the two curve families there.
+Ampleness, pseudo-effectivity and mu are read off that chamber
+representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
+checked against the 240 classes, and by the recomposition of K + mu*A that
+`classify` validates.  The boundary face is certified by a nef class that
+vanishes on exactly its generators.
 `membership_certificate` keeps the exact LP for callers that want a primal
 decomposition or a Farkas witness.
 """
@@ -29,6 +31,7 @@ from functools import lru_cache
 from .linprog import LPProblem, LPResult, solve
 from .picard import (
     PicardClass,
+    _reflect,
     canonical_class,
     dot,
     enumerate_conic_classes,
@@ -101,22 +104,6 @@ def membership_certificate(v: PicardClass) -> LPResult:
 
 # The length of the longest element of W(E8), its number of positive roots.
 _LONGEST_WORD = 120
-
-
-def _reflect(v: list[int], i: int) -> None:
-    """Apply the simple reflection i to integral coordinates, in place.
-
-    i = 0 is the reflection in H - e1 - e2 - e3, v -> v + (v.a)a; i = 1..7
-    is the one in e_i - e_(i+1), which swaps those two coordinates.
-    """
-    if i:
-        v[i], v[i + 1] = v[i + 1], v[i]
-    else:
-        t = v[0] + v[1] + v[2] + v[3]
-        v[0] += t
-        v[1] -= t
-        v[2] -= t
-        v[3] -= t
 
 
 def _chamber(row: tuple[int, ...]) -> tuple[list[int], list[int]]:

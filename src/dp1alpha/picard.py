@@ -2,12 +2,15 @@
 
 Classes are written in the basis (H, e1, ..., e8) with intersection form
 diag(1, -1, ..., -1); the canonical class is K = -3H + e1 + ... + e8, K^2 = 1.
+The Weyl group W(E8) of K's orthogonal complement acts through the simple
+reflections of `_reflect`, which `cone` uses for its chamber reduction.
+The 240 (-1)-classes and the 2160 conic classes are the W(E8) orbits of
+e8 and of H - e1, built as closures under those reflections.
 Everything here is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,104 +107,86 @@ def bertini(v: PicardClass) -> PicardClass:
 # -- enumeration -----------------------------------------------------------
 
 
-def _sphere_sum_solutions(count: int, total: int, square_total: int) -> Iterator[tuple[int, ...]]:
-    """All integer tuples of length `count` with given sum and sum of squares.
+def _reflect(v: list[int], i: int) -> None:
+    """Apply the simple reflection i of W(E8) to integral coordinates, in place.
 
-    Depth-first with Cauchy-Schwarz pruning on every suffix:
-    (remaining sum)^2 <= (remaining count) * (remaining square budget).
+    i = 0 is the reflection in H - e1 - e2 - e3, v -> v + (v.a)a; i = 1..7
+    is the one in e_i - e_(i+1), which swaps those two coordinates.
     """
-    prefix = [0] * count
-
-    def rec(idx: int, s: int, q: int) -> Iterator[tuple[int, ...]]:
-        if idx == count:
-            if s == 0 and q == 0:
-                yield tuple(prefix)
-            return
-        remaining = count - idx - 1
-        bound = math.isqrt(q)
-        for m in range(-bound, bound + 1):
-            q2 = q - m * m
-            s2 = s - m
-            if s2 * s2 > remaining * q2:
-                continue
-            prefix[idx] = m
-            yield from rec(idx + 1, s2, q2)
-
-    yield from rec(0, total, square_total)
+    if i:
+        v[i], v[i + 1] = v[i + 1], v[i]
+    else:
+        t = v[0] + v[1] + v[2] + v[3]
+        v[0] += t
+        v[1] -= t
+        v[2] -= t
+        v[3] -= t
 
 
-def _classes_with(self_int: int, k_degree: int, d_range: Iterable[int]) -> list[PicardClass]:
-    """Integral classes v with v^2 = self_int, v.K = k_degree, H-degree in d_range.
-
-    Coordinates (d, c1..c8) satisfy sum(ci) = -k_degree - 3d and
-    sum(ci^2) = d^2 - self_int.
-    """
-    found = []
-    for d in d_range:
-        square_total = d * d - self_int
-        if square_total < 0:
-            continue
-        total = -k_degree - 3 * d
-        for tail in _sphere_sum_solutions(8, total, square_total):
-            found.append(PicardClass((d,) + tail))
-    found.sort(key=lambda v: v.coeffs)
-    return found
+def _orbit(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The W(E8) orbit of an integral row, as its closure under the simple reflections, sorted."""
+    seen = {row}
+    pending = [row]
+    while pending:
+        v = pending.pop()
+        for i in range(8):
+            w = list(v)
+            _reflect(w, i)
+            w = tuple(w)
+            if w not in seen:
+                seen.add(w)
+                pending.append(w)
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
 class CurveClassSet:
-    """A finite, canonically ordered family of integral curve classes."""
+    """A finite family of integral curve classes, as integer rows in ascending order."""
 
     kind: str  # "minus-one" | "conic"
-    members: tuple[PicardClass, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[PicardClass]:
         return iter(self.members)
 
     @cached_property
-    def _member_set(self) -> frozenset[PicardClass]:
-        return frozenset(self.members)
+    def members(self) -> tuple[PicardClass, ...]:
+        """The classes of the rows, in row order, built on first use."""
+        return tuple(map(PicardClass, self.rows))
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The members' integer coordinates, in member order."""
-        return tuple(tuple(int(c) for c in v.coeffs) for v in self.members)
+    def _row_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.rows)
 
     def __contains__(self, v: PicardClass) -> bool:
-        return v in self._member_set
+        # hash(Fraction(n)) == hash(n), so integral Fraction coordinates find their row
+        return v.coeffs in self._row_set
 
 
 @lru_cache(maxsize=None)
 def enumerate_minus_one_classes() -> CurveClassSet:
-    """All 240 classes with v^2 = -1 and v.K = -1.
+    """All 240 classes with v^2 = -1 and v.K = -1: the W(E8) orbit of e8.
 
-    Cauchy-Schwarz gives (3d-1)^2 <= 8(d^2+1), i.e. -1 <= d <= 7; the shells
-    d = -1 and d = 7 are scanned and checked empty at runtime, so the set is
-    exactly the d in 0..6 solutions.
+    W(E8) acts transitively on them (Manin, *Cubic Forms*, sections 23 and
+    26).  Completeness is checked against independent enumerations of the
+    quadric: test_picard's multiset oracle and acceptance criterion 1's box
+    oracle.
     """
-    classes = _classes_with(-1, -1, range(0, 8))
-    shell = _classes_with(-1, -1, (-1, 8))
-    if shell:
-        raise AssertionError("minus-one enumeration bound violated on boundary shell")
-    return CurveClassSet("minus-one", tuple(classes))
+    return CurveClassSet("minus-one", _orbit((0, 0, 0, 0, 0, 0, 0, 0, 1)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_conic_classes() -> CurveClassSet:
-    """All 2160 classes with v^2 = 0, v.K = -2 and non-negative H-degree.
+    """All 2160 classes with v^2 = 0 and v.K = -2: the W(E8) orbit of H - e1.
 
-    Cauchy-Schwarz gives (3d-2)^2 <= 8d^2, i.e. 1 <= d <= 11 (the quadric also
-    has mirror solutions with d < 0; effectivity selects the non-negative
-    representative). The shell d = 12 is checked empty at runtime.
+    W(E8) acts transitively on them (Manin, *Cubic Forms*, sections 23 and
+    26), and each has H-degree in 1..11.  Completeness is checked against
+    test_picard's multiset oracle, an independent enumeration of the quadric.
     """
-    classes = _classes_with(0, -2, range(0, 12))
-    shell = _classes_with(0, -2, (12,))
-    if shell:
-        raise AssertionError("conic enumeration bound violated on boundary shell")
-    return CurveClassSet("conic", tuple(classes))
+    return CurveClassSet("conic", _orbit((1, -1, 0, 0, 0, 0, 0, 0, 0)))
 
 
 # -- text format ------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dp1alpha import picard
 from dp1alpha.picard import (
     PicardClass,
     bertini,
@@ -30,8 +31,8 @@ from dp1alpha.picard import (
 #     sum(c_i) = linear_total,   sum(c_i^2) = square_total   (8 unknowns)
 # by walking non-increasing value multisets (square-budget pruned), then
 # expanding each multiset into its distinct permutations and filtering by
-# the linear condition.  Completely different search order from the library
-# implementation, so agreement is meaningful.
+# the linear condition.  The library builds the families as W(E8) orbits
+# instead, so agreement checks that each orbit is the whole solution set.
 # --------------------------------------------------------------------------
 
 
@@ -117,12 +118,45 @@ class TestEnumerationAgainstOracle:
 
     def test_membership_agrees_with_members(self):
         minus_one, conics = enumerate_minus_one_classes(), enumerate_conic_classes()
-        outsiders = [canonical_class(), -canonical_class(), hyperplane_class()]
+        outsiders = [
+            canonical_class(),
+            -canonical_class(),
+            hyperplane_class(),
+            Fraction(1, 2) * exceptional_class(1),
+        ]
         for family, other in ((minus_one, conics), (conics, minus_one)):
             assert all(v in family for v in family.members)
             assert not any(v in family for v in other.members)
             assert not any(v in family for v in outsiders)
             assert 2 * family.members[0] not in family
+            rebuilt = PicardClass(Fraction(c) for c in family.rows[-1])
+            assert rebuilt in family
+
+
+def _simple_roots() -> list[tuple[int, ...]]:
+    """H - e1 - e2 - e3, then e_i - e_(i+1) for i = 1..7, built from H and e_i."""
+    h, e = hyperplane_class(), exceptional_class
+    roots = [h - e(1) - e(2) - e(3)] + [e(i) - e(i + 1) for i in range(1, 8)]
+    return [tuple(int(c) for c in r.coeffs) for r in roots]
+
+
+class TestWeylAction:
+    def test_reflect_is_the_root_reflection(self):
+        rng = random.Random(19)
+        for i, root in enumerate(_simple_roots()):
+            assert dot(root, root) == -2
+            for _ in range(200):
+                v = [rng.randint(-20, 20) for _ in range(9)]
+                expected = [x + dot(v, root) * a for x, a in zip(v, root)]
+                picard._reflect(v, i)
+                assert v == expected
+
+    def test_simple_reflections_permute_each_family(self):
+        for family in (enumerate_minus_one_classes(), enumerate_conic_classes()):
+            rows = set(family.rows)
+            for i, root in enumerate(_simple_roots()):
+                image = {tuple(x + dot(r, root) * a for x, a in zip(r, root)) for r in rows}
+                assert image == rows, (family.kind, i)
 
 
 class TestLatticeBasics:
@@ -162,8 +196,10 @@ class TestLatticeBasics:
         assert hyperplane_class() not in curves
 
     def test_rows_are_the_integer_coordinates(self):
+        # classify reads index order as class order: fibre completion, ties, repr
         for family in (enumerate_minus_one_classes(), enumerate_conic_classes()):
             assert len(family.rows) == len(family)
+            assert all(a < b for a, b in zip(family.rows, family.rows[1:]))
             for row, v in zip(family.rows, family.members):
                 assert all(type(x) is int for x in row)
                 assert PicardClass(row) == v
