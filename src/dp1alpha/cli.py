@@ -98,13 +98,11 @@ def _profile_json(profile: PolarizationProfile) -> dict[str, Any]:
 
 def _handle_curves_enumerate(args):
     if args.kind == "minus-one":
-        members = _cli.enumerate_minus_one_classes().members
+        rows = _cli.enumerate_minus_one_classes().rows
     else:
-        members = _cli.enumerate_conic_classes().members
-    return {
-        "count": len(members),
-        "classes": [_cli.format_class(v) for v in sorted(members)],
-    }
+        rows = _cli.enumerate_conic_classes().rows
+    # integer rows in ascending order: the sorted classes, as format_class prints them
+    return {"count": len(rows), "classes": [",".join(map(str, row)) for row in rows]}
 
 
 def _handle_ample(args):

@@ -4,6 +4,27 @@ Systems mix non-strict, strict, and equality rows over named rational
 variables.  An infeasible system yields a multiplier certificate whose exact
 recombination produces ``0 < 0`` or ``0 <= -c`` with ``c > 0``; a feasible
 system yields an exact witness point recovered by back-substitution.
+
+The elimination runs on integer rows in lowest terms.  Each is a positive
+multiple of its rational row, so every sign test, comparison and bound is
+the rational one.  A row keeps its origin (a constraint, or the pair it was
+combined from) and bit masks of the constraints it draws on and of the
+variables they contain; multipliers are rebuilt from the origins for the
+contradiction alone.  Back-substitution keeps integer numerators over one
+common denominator.
+
+Redundant rows are dropped by Chernikov's rule in Kohler's counting form
+(Chernikov 1965; Kohler 1967; Imbert 1993).  Once the variables V are
+eliminated, a row's multipliers on the constraints it draws on lie in a cone
+cut out by one equation per variable of V that those constraints contain,
+and every extreme ray of that cone draws on at most one constraint more
+than there are such variables.  A row that draws on more is a sum of rows
+with fewer constraints, and is dropped.  Kohler counts all of V, which
+keeps millions of redundant rows when a variable that few rows contain goes
+first.  Counting only the variables eliminated on the row's own path drops
+more, but not safely together with the pruning of parallel rows:
+back-substitution then met an empty interval on systems that the exact
+simplex calls feasible.  test_fme.TestChernikovBound has both cases.
 """
 
 from __future__ import annotations
@@ -35,12 +56,12 @@ class LinearSystem:
             raise ValueError("duplicate variable names")
         rows = []
         for coeffs, rel, rhs in constraints:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
             if len(coeffs) != len(names):
                 raise ValueError("coefficient row width mismatch")
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, Fraction(rhs)))
+            rows.append((coeffs, rel, rhs if isinstance(rhs, Fraction) else Fraction(rhs)))
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "constraints", tuple(rows))
 
@@ -49,7 +70,7 @@ class LinearSystem:
         if len(point) != len(self.variables):
             raise ValueError("point width mismatch")
         for coeffs, rel, rhs in self.constraints:
-            value = sum((c * x for c, x in zip(coeffs, point)), Fraction(0))
+            value = sum((c * x for c, x in zip(coeffs, point) if c), Fraction(0))
             if rel == LE:
                 ok = value <= rhs
             elif rel == LT:
@@ -99,7 +120,8 @@ def check_certificate(system: LinearSystem, certificate: FarkasCertificate) -> b
         if rel == LT:
             strict_used.add(index)
         for k, c in enumerate(coeffs):
-            combined[k] += weight * c
+            if c:
+                combined[k] += weight * c
         total += weight * rhs
     if certificate.strict_indices != frozenset(strict_used):
         return False
@@ -110,71 +132,100 @@ def check_certificate(system: LinearSystem, certificate: FarkasCertificate) -> b
     return total < 0
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Row:
-    # working inequality, scaled by denom > 0: every entry is an int and the
-    # rational row is (coeffs . x (< | <=) rhs) / denom, with provenance
+    # working inequality coeffs . x (< | <=) rhs in lowest integer terms: a
+    # positive multiple of the rational row, and every decision of the
+    # elimination is invariant under such a rescaling.  ancestors is a bit
+    # mask of the constraints the row draws on, variables a bit mask of the
+    # variables those constraints contain.  origin is (index, weight)
+    # for weight times constraint index, or (positive, negative, var) for a
+    # pair; from it _rebuild recovers the multipliers of the one row that
+    # needs them, the contradiction.
     coeffs: list[int]
     strict: bool
     rhs: int
-    history: list[int]  # net signed weight per original constraint, times denom
-    denom: int
-    ancestors: frozenset[int]
-    eliminated: frozenset[int]
+    ancestors: int
+    variables: int
+    origin: tuple
 
 
 def _initial_rows(system: LinearSystem) -> list[_Row]:
-    count = len(system.constraints)
     rows: list[_Row] = []
     for index, (coeffs, rel, rhs) in enumerate(system.constraints):
         scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
-        unit = [0] * count
-        unit[index] = scale
-        origin = frozenset([index])
-        rows.append(_Row(ints, rel == LT, scaled_rhs, unit, scale, origin, frozenset()))
+        bit = 1 << index
+        variables = sum(1 << j for j, c in enumerate(ints) if c)
+        rows.append(_Row(ints, rel == LT, scaled_rhs, bit, variables, (index, scale)))
         if rel == EQ:
-            negated = [0] * count
-            negated[index] = -scale
-            rows.append(
-                _Row([-c for c in ints], False, -scaled_rhs, negated, scale, origin, frozenset())
-            )
+            negated = [-c for c in ints]
+            rows.append(_Row(negated, False, -scaled_rhs, bit, variables, (index, -scale)))
     return rows
 
 
-def _combine(positive: _Row, negative: _Row, var: int) -> _Row | None:
-    """positive/P_v + negative/(-N_v) in lowest terms, or None if Imbert drops it.
+def _combine(positive: _Row, negative: _Row, var: int, eliminated: int) -> _Row | None:
+    """positive * (-N_v) + negative * P_v in lowest terms, or None past the bound.
 
-    Imbert's irredundancy bound: a derived row combining more original rows
-    than one plus the variables eliminated on its path is implied by other
-    rows in the projection.  The bound is tested before the rhs and history
-    are built; a pair that cancels every coefficient is still built, since it
-    may be the contradiction.
+    A row drawing on more constraints than one plus the eliminated variables
+    (a bit mask, var included) that those constraints contain is implied by
+    other rows of the projection, so it is dropped before its rhs is built;
+    a pair that cancels every coefficient is still built, since it may be
+    the contradiction.
     """
     scale_p = -negative.coeffs[var]
     scale_n = positive.coeffs[var]
-    coeffs = [p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)]
     ancestors = positive.ancestors | negative.ancestors
-    eliminated = positive.eliminated | negative.eliminated | {var}
-    if len(ancestors) > 1 + len(eliminated) and any(coeffs):
+    variables = positive.variables | negative.variables
+    if ancestors.bit_count() > 1 + (variables & eliminated).bit_count() and any(
+        p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)
+    ):
         return None
+    coeffs = [p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)]
     rhs = positive.rhs * scale_p + negative.rhs * scale_n
-    history = [p * scale_p + n * scale_n for p, n in zip(positive.history, negative.history)]
-    denom = scale_p * scale_n
-    divisor = math.gcd(denom, rhs, *coeffs, *history)
+    divisor = math.gcd(rhs, *coeffs)
     if divisor > 1:
         coeffs = [c // divisor for c in coeffs]
         rhs //= divisor
-        history = [h // divisor for h in history]
-        denom //= divisor
     return _Row(
         coeffs,
         positive.strict or negative.strict,
         rhs,
-        history,
-        denom,
         ancestors,
-        eliminated,
+        variables,
+        (positive, negative, var),
     )
+
+
+def _rebuild(
+    row: _Row, count: int, memo: dict[_Row, tuple[list[int], int]]
+) -> tuple[list[int], int]:
+    """(coeffs + [rhs] + history, denom): the rational row and its multipliers, over denom > 0.
+
+    The rational row is the constraint itself, or positive/P_v + negative/(-N_v)
+    of the parents' rational rows; history[i] / denom is the net weight of
+    constraint i in it.  Replays the row's origins, each shared parent once,
+    by _combine's integer rule with the history carried along and the gcd of
+    denom and every entry divided out.
+    """
+    known = memo.get(row)
+    if known is None:
+        if len(row.origin) == 2:
+            index, weight = row.origin
+            history = [0] * count
+            history[index] = weight
+            known = [*row.coeffs, row.rhs, *history], abs(weight)
+        else:
+            positive, negative, var = row.origin
+            vector_p, denom_p = _rebuild(positive, count, memo)
+            vector_n, denom_n = _rebuild(negative, count, memo)
+            scale_p = -vector_n[var]
+            scale_n = vector_p[var]
+            vector = [p * scale_p + n * scale_n for p, n in zip(vector_p, vector_n)]
+            denom = scale_p * scale_n
+            divisor = math.gcd(denom, *vector)
+            known = [v // divisor for v in vector], denom // divisor
+        memo[row] = known
+    return known
 
 
 def _prune(rows: list[_Row]) -> list[_Row]:
@@ -249,14 +300,17 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
     width = len(system.variables)
     rows = _initial_rows(system)
     stages: list[tuple[int, list[_Row]]] = []
+    eliminated = 0
     while True:
         bad = _contradiction(rows)
         if bad is not None:
+            vector, denom = _rebuild(bad, len(system.constraints), {})
+            history = vector[width + 1 :]
             certificate = FarkasCertificate(
-                multipliers=tuple(Fraction(h, bad.denom) for h in bad.history),
+                multipliers=tuple(Fraction(h, denom) for h in history),
                 strict_indices=frozenset(
                     i
-                    for i, weight in enumerate(bad.history)
+                    for i, weight in enumerate(history)
                     if weight > 0 and system.constraints[i][1] == LT
                 ),
             )
@@ -271,19 +325,21 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         negative = [r for r in active if r.coeffs[var] < 0]
         stages.append((var, positive + negative))
         remaining = [r for r in rows if r.coeffs[var] == 0]
-        combined = [_combine(p, n, var) for p in positive for n in negative]
+        eliminated |= 1 << var
+        combined = [_combine(p, n, var, eliminated) for p in positive for n in negative]
         rows = _prune(remaining + [row for row in combined if row is not None])
-    values = [Fraction(0)] * width
+    # the values fixed so far are numerators[j] / denom, and the others 0, so
+    # each bound is (rhs*denom - rest) / (c_v*denom) with rest an int
+    numerators = [0] * width
+    denom = 1
     for var, involved in reversed(stages):
         lower: tuple[Fraction, bool] | None = None
         upper: tuple[Fraction, bool] | None = None
         for row in involved:
-            rest = sum(
-                (c * values[j] for j, c in enumerate(row.coeffs) if j != var),
-                Fraction(0),
-            )
-            bound = (row.rhs - rest) / row.coeffs[var]
-            if row.coeffs[var] > 0:
+            coeffs = row.coeffs
+            rest = sum(c * n for c, n in zip(coeffs, numerators))  # numerators[var] is still 0
+            bound = Fraction(row.rhs * denom - rest, coeffs[var] * denom)
+            if coeffs[var] > 0:
                 if upper is None or bound < upper[0] or (
                     bound == upper[0] and row.strict
                 ):
@@ -293,8 +349,13 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
                     bound == lower[0] and row.strict
                 ):
                     lower = (bound, row.strict)
-        values[var] = _choose_value(lower, upper)
-    witness = tuple(values)
+        value = _choose_value(lower, upper)
+        common = math.lcm(denom, value.denominator)
+        if common != denom:
+            numerators = [n * (common // denom) for n in numerators]
+            denom = common
+        numerators[var] = value.numerator * (denom // value.denominator)
+    witness = tuple(Fraction(n, denom) for n in numerators)
     if not system.holds_at(witness):
         raise RuntimeError("back-substituted witness violates the system")
     return Feasible(witness=witness)

@@ -1,13 +1,16 @@
 """Reference oracle: Fourier-Motzkin elimination in plain ``Fraction`` arithmetic.
 
 This is the textbook eliminator: every derived row is ``P/P_v + N/(-N_v)``
-built in full, then pruned by Imbert's irredundancy bound and by
-duplicate normal vectors.  It is kept as an independent implementation of
-the same rules as ``dp1alpha.fme.prove_infeasible`` -- the same row order,
-variable choice, contradiction scan and back-substitution.  The package
-eliminator stores every row as integers over one positive denominator and
-applies Imbert's bound before it builds a pair's row, so both must return
-equal results -- the same certificate or the same witness -- on every system.
+built in full with its multipliers, unless Chernikov's rule drops it (a row
+drawing on more original rows than one plus the eliminated variables that
+those rows contain), and rows are pruned by duplicate normal vectors.  It is
+kept as an independent implementation of the same rules as
+``dp1alpha.fme.prove_infeasible`` -- the same row order, variable choice,
+contradiction scan and back-substitution.  The package eliminator stores
+every row as integers in lowest terms, rebuilds multipliers for the
+contradiction only and back-substitutes over one common denominator, so
+both must return equal results -- the same certificate or the same witness
+-- on every system.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ class _Row:
     rhs: Fraction
     history: list[Fraction]  # net signed weight per original constraint
     ancestors: frozenset[int]
-    eliminated: frozenset[int]
 
 
 def _initial_rows(system: LinearSystem) -> list[_Row]:
@@ -36,45 +38,42 @@ def _initial_rows(system: LinearSystem) -> list[_Row]:
         unit = [Fraction(0)] * count
         unit[index] = Fraction(1)
         if rel in (LE, LT):
-            rows.append(
-                _Row(list(coeffs), rel == LT, rhs, unit, frozenset([index]), frozenset())
-            )
+            rows.append(_Row(list(coeffs), rel == LT, rhs, unit, frozenset([index])))
         else:
             negated = [Fraction(0)] * count
             negated[index] = Fraction(-1)
-            rows.append(
-                _Row(list(coeffs), False, rhs, unit, frozenset([index]), frozenset())
-            )
-            rows.append(
-                _Row(
-                    [-c for c in coeffs],
-                    False,
-                    -rhs,
-                    negated,
-                    frozenset([index]),
-                    frozenset(),
-                )
-            )
+            rows.append(_Row(list(coeffs), False, rhs, unit, frozenset([index])))
+            rows.append(_Row([-c for c in coeffs], False, -rhs, negated, frozenset([index])))
     return rows
 
 
-def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
+def _combine(
+    positive: _Row, negative: _Row, var: int, eliminated: set[int], support: list[frozenset[int]]
+) -> _Row | None:
     scale_p = 1 / positive.coeffs[var]
     scale_n = -1 / negative.coeffs[var]
     coeffs = [
         scale_p * p + scale_n * n for p, n in zip(positive.coeffs, negative.coeffs)
     ]
     coeffs[var] = Fraction(0)  # exact by construction; pin against drift
+    ancestors = positive.ancestors | negative.ancestors
+    # Chernikov's rule: a row combining more original rows than one plus the
+    # eliminated variables those rows contain is implied by other rows in the
+    # projection; a row with no variable left may be the contradiction, so
+    # it stays
+    contained = frozenset().union(*(support[i] for i in ancestors))
+    if len(ancestors) > 1 + len(contained & eliminated) and any(coeffs):
+        return None
     history = [
-        scale_p * p + scale_n * n for p, n in zip(positive.history, negative.history)
+        scale_p * p + scale_n * n if p or n else p
+        for p, n in zip(positive.history, negative.history)
     ]
     return _Row(
         coeffs,
         positive.strict or negative.strict,
         scale_p * positive.rhs + scale_n * negative.rhs,
         history,
-        positive.ancestors | negative.ancestors,
-        positive.eliminated | negative.eliminated | {var},
+        ancestors,
     )
 
 
@@ -88,11 +87,6 @@ def _prune(rows: list[_Row]) -> list[_Row]:
             # keep contradictions for the caller; drop tautologies
             if row.rhs < 0 or (row.strict and row.rhs <= 0):
                 passthrough.append(row)
-            continue
-        # Imbert's irredundancy bound: a derived row combining more original
-        # rows than one plus the variables eliminated on its path is implied
-        # by other rows in the projection
-        if len(row.ancestors) > 1 + len(row.eliminated):
             continue
         scale = 1 / abs(nonzero)
         key = tuple(scale * c for c in row.coeffs)
@@ -158,6 +152,10 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
     width = len(system.variables)
     rows = _initial_rows(system)
     stages: list[tuple[int, list[_Row]]] = []
+    support = [
+        frozenset(j for j, c in enumerate(coeffs) if c != 0)
+        for coeffs, _, _ in system.constraints
+    ]
     while True:
         bad = _contradiction(rows)
         if bad is not None:
@@ -179,8 +177,9 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         negative = [r for r in active if r.coeffs[var] < 0]
         stages.append((var, positive + negative))
         remaining = [r for r in rows if r.coeffs[var] == 0]
-        combined = [_combine(p, n, var) for p in positive for n in negative]
-        rows = _prune(remaining + combined)
+        eliminated = {v for v, _ in stages}
+        combined = [_combine(p, n, var, eliminated, support) for p in positive for n in negative]
+        rows = _prune(remaining + [row for row in combined if row is not None])
     values = [Fraction(0)] * width
     for var, involved in reversed(stages):
         lower: tuple[Fraction, bool] | None = None

@@ -303,18 +303,20 @@ class TestAgainstReference:
         for system in systems():
             assert prove_infeasible(system) == reference_fme.prove_infeasible(system)
 
-    def test_criterion_10_systems(self):
-        rng = random.Random(424242)
+    @pytest.mark.parametrize("seed", [424242, 1, 2, 3, 4, 5])
+    def test_criterion_10_systems(self, seed):
+        rng = random.Random(seed)
         for trial in range(200):
             system = _criterion_10_system(rng, force_feasible=trial % 2 == 0)
             expected = reference_fme.prove_infeasible(system)
             assert prove_infeasible(system) == expected, f"trial {trial}"
 
-    def test_contradiction_from_a_pair_past_imberts_bound(self):
+    def test_contradiction_from_a_pair_past_the_bound(self):
         # Eliminating x leaves, after duplicate pruning, y >= 2 (rows 1, 3) and
         # y <= -3 (rows 0, 2).  Their pair draws on four rows, more than one
-        # plus the two eliminated variables, yet it is the contradiction
-        # 0 <= -5: the bound must not drop a pair that cancels every variable.
+        # plus the two eliminated variables they contain, yet it is the
+        # contradiction 0 <= -5: the bound must not drop a pair that cancels
+        # every variable.
         system = _system(
             ["x", "y"],
             [((-2, -1), LE, -2), ((1, -2), LE, -1), ((2, 2), LE, -1), ((-1, 1), LE, -1)],
@@ -322,6 +324,78 @@ class TestAgainstReference:
         result = prove_infeasible(system)
         assert result == FarkasCertificate((Fraction(1),) * 4, frozenset())
         assert result == reference_fme.prove_infeasible(system)
+
+
+def _criterion_10_draw(seed: int, trial: int) -> LinearSystem:
+    """The (trial+1)-th system that criterion 10's generator draws at seed."""
+    rng = random.Random(seed)
+    for t in range(trial + 1):
+        system = _criterion_10_system(rng, force_feasible=t % 2 == 0)
+    return system
+
+
+class TestChernikovBound:
+    """The bound counts the eliminated variables that a row's constraints contain.
+
+    Counted per path (one plus the variables eliminated on the row's own
+    path) alongside the pruning of parallel rows, it dropped a needed row of
+    each system of the first test, and back-substitution met an empty
+    interval.  Counted over every eliminated variable, it kept millions of
+    redundant rows of the system of the last test.
+    """
+
+    @pytest.mark.parametrize("seed, trial", [(3, 199), (4, 6), (4, 187)])
+    def test_formerly_unanswered_systems(self, seed, trial):
+        system = _criterion_10_draw(seed, trial)
+        result = prove_infeasible(system)
+        assert isinstance(result, Feasible) == _lp_feasibility_probe(system)
+        assert result == reference_fme.prove_infeasible(system)
+
+    def test_sweep_never_raises(self):
+        for seed in range(6, 31):
+            rng = random.Random(seed)
+            for trial in range(200):
+                system = _criterion_10_system(rng, force_feasible=trial % 2 == 0)
+                result = prove_infeasible(system)  # raises on an empty interval
+                if trial % 2 == 0:
+                    assert isinstance(result, Feasible), f"seed {seed} trial {trial}"
+
+    def test_a_rare_variable_does_not_widen_the_bound(self, monkeypatch):
+        # v5 occurs in 5 of the 16 rows and is eliminated first.  Counting it
+        # for rows whose constraints lack it builds 3.2 million rows; counting
+        # only the variables the constraints contain builds under a thousand.
+        rows = [
+            ((1, 1, 0, 3, 2, 1, -2), LE, Fraction(47, 6)),
+            ((-3, 3, -2, -2, 2, 0, -2), LT, Fraction(-62, 3)),
+            ((3, 1, -3, -1, 1, 0, -2), LE, Fraction(49, 6)),
+            ((0, 3, 2, 2, 2, 0, 0), LE, Fraction(7, 3)),
+            ((-2, 3, 0, 2, -3, 0, 2), LE, 3),
+            ((-1, -2, 0, -3, 0, 0, -2), LE, -14),
+            ((0, 3, 2, -2, 1, 0, -2), LE, Fraction(-43, 3)),
+            ((1, 1, 2, -3, -1, 1, 3), LT, Fraction(-19, 6)),
+            ((-3, -3, 1, -2, -2, 0, 1), LE, Fraction(-71, 6)),
+            ((-2, -2, 3, 0, 1, 0, 0), EQ, Fraction(-65, 6)),
+            ((-3, -3, 2, 1, 0, 0, 1), LE, -6),
+            ((-3, -2, -1, -2, -2, -3, -3), LE, Fraction(-46, 3)),
+            ((-1, -2, 1, 1, -1, 0, 3), LT, Fraction(41, 6)),
+            ((-2, -1, 1, -2, -3, -1, 0), LE, -10),
+            ((-1, -3, 1, -3, 2, 1, 1), LE, Fraction(-29, 3)),
+            ((1, 3, 2, 1, 1, 0, -1), LT, Fraction(-1, 3)),
+        ]
+        system = _system([f"v{i}" for i in range(7)], rows)
+        built = []
+        combine = fme._combine
+
+        def counting(*args):
+            row = combine(*args)
+            if row is not None:
+                built.append(row)
+            return row
+
+        monkeypatch.setattr(fme, "_combine", counting)
+        result = prove_infeasible(system)
+        assert isinstance(result, Feasible) and _lp_feasibility_probe(system)
+        assert len(built) < 1000
 
 
 class TestSelfChecksRaise:
