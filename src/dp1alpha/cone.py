@@ -18,8 +18,19 @@ representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
 checked against the 240 classes, and by the recomposition of K + mu*A that
 `classify` validates.  The boundary face is certified by a nef class that
 vanishes on exactly its generators.
+
+The scans over the 240 (-1)-classes (the nef-ray check, the negative part
+of K + mu*A, the conic's pairings and the orthogonality masks) are one
+240x9 integer matrix times an integral vector w.  `_packed` does that
+product in nine big-integer multiply-adds: column k packs the k-th
+coordinates of the 240 classes, signed by the form, into 64-bit slots, and
+a bias of 2^62 per slot keeps each slot non-negative.  Slot j then holds
+2^62 + w.E_j, so one mask test on bit 62 of every slot says whether any
+pairing is negative, and only the negative or zero slots are unpacked.  The
+slots stay exact while 6|w_0| + 3*sum(|w_i|) < 2^62; a wider w takes the
+plain scan of `_pairings`.
 `membership_certificate` keeps the exact LP for callers that want a primal
-decomposition or a Farkas witness.
+decomposition or a Farkas witness; `linprog` is imported on its first call.
 """
 
 from __future__ import annotations
@@ -27,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import lcm
+from typing import TYPE_CHECKING
 
-from .linprog import LPProblem, LPResult, solve
 from .picard import (
     PicardClass,
     _reflect,
@@ -39,6 +52,9 @@ from .picard import (
     format_class,
 )
 from .rationals import clear
+
+if TYPE_CHECKING:
+    from .linprog import LPProblem, LPResult
 
 P2 = "P2"
 F1 = "F1"
@@ -84,6 +100,92 @@ def _pairings(w: tuple[int, ...]):
     return (dot(w, row) for row in enumerate_minus_one_classes().rows)
 
 
+# The packed scan gives (-1)-class j the 64-bit slot at bit 64*j of one
+# integer, holding 2^62 + w.E_j.  A (-1)-class dH - sum(m_i e_i) has
+# |d| <= 6 and |m_i| <= 3, so |w.E_j| <= 6|w_0| + 3*sum(|w_i|); below 2^62
+# that keeps every slot in [1, 2^63), so slots neither borrow nor carry.
+_BIAS = 1 << 62
+# Maps a slot's top octet to 1 when the slot is below its bias (octet < 0x40).
+_BELOW_BIAS = b"\x01" * 0x40 + bytes(0xC0)
+
+
+@lru_cache(maxsize=None)
+def _packed_columns() -> tuple[tuple[int, ...], int, int]:
+    """The nine packed columns of the (-1)-classes, one per slot, and the unit and bias words.
+
+    Column k is sum(s_k * E_j[k] * 2^(64j)) with s_k the sign of the form,
+    so sum(w_k * column_k) packs the 240 pairings w.E_j.
+    """
+    rows = enumerate_minus_one_classes().rows
+    columns = tuple(
+        sum(sign * row[k] << (64 * j) for j, row in enumerate(rows))
+        for k, sign in enumerate((1,) + (-1,) * 8)
+    )
+    ones = sum(1 << (64 * j) for j in range(len(rows)))
+    return columns, ones, ones * _BIAS
+
+
+def _packed(w: tuple[int, ...] | list[int]) -> int | None:
+    """sum((2^62 + w.E_j) * 2^(64j)) over the (-1)-classes, or None if a slot could overflow."""
+    if 6 * abs(w[0]) + 3 * sum(map(abs, w[1:])) >= _BIAS:
+        return None
+    columns, _, total = _packed_columns()
+    for x, column in zip(w, columns):
+        if x:
+            total += x * column
+    return total
+
+
+def _slot_octets(total: int) -> bytes:
+    """The slots as 8 little-endian octets each: octets[8j + 7] holds bits 56-63 of slot j."""
+    return total.to_bytes(8 * len(enumerate_minus_one_classes()), "little")
+
+
+def _negative_pairings(w: tuple[int, ...] | list[int]) -> list[tuple[int, int]]:
+    """(j, w.E_j) for the (-1)-classes E_j with w.E_j < 0, in enumeration order.
+
+    A slot is below its bias exactly when bit 62 is clear, so one mask test
+    answers "none"; only the negative slots are unpacked.  Integral w beyond
+    the slot bound takes the plain scan.
+    """
+    total = _packed(w)
+    if total is None:
+        return [(j, p) for j, p in enumerate(_pairings(w)) if p < 0]
+    bias = _packed_columns()[2]
+    if total & bias == bias:
+        return []
+    octets = _slot_octets(total)
+    return [
+        (j, int.from_bytes(octets[8 * j : 8 * j + 8], "little") - _BIAS)
+        for j in compress(range(len(octets) // 8), octets[7::8].translate(_BELOW_BIAS))
+    ]
+
+
+def _zero_pairings(w: tuple[int, ...] | list[int]) -> list[int]:
+    """The indices j with w.E_j = 0, ascending.
+
+    Slot j equals 2^62 exactly when its bit 62 is set and clears once one
+    is subtracted from every slot.
+    """
+    total = _packed(w)
+    if total is None:
+        return [j for j, p in enumerate(_pairings(w)) if not p]
+    _, ones, bias = _packed_columns()
+    octets = _slot_octets(total & ~(total - ones) & bias)
+    return list(compress(range(len(octets) // 8), octets[7::8]))
+
+
+def solve(problem: LPProblem) -> LPResult:
+    """`linprog.solve`, bound here and imported on first call.
+
+    Only `membership_certificate` solves an LP, so ampleness, mu and
+    `classify` never load `linprog`.
+    """
+    from . import linprog
+
+    return linprog.solve(problem)
+
+
 def membership_certificate(v: PicardClass) -> LPResult:
     """Solve v = sum(c_E * E) with c_E >= 0 over the 240 (-1)-classes.
 
@@ -91,6 +193,8 @@ def membership_certificate(v: PicardClass) -> LPResult:
     infeasible one carries an exact Farkas certificate y with y.E <= 0 for
     every generator and y.v > 0.
     """
+    from .linprog import LPProblem
+
     rows = _generator_rows()
     n = len(rows[0])
     problem = LPProblem(
@@ -181,7 +285,7 @@ def mu_threshold(A: PicardClass) -> Fraction:
     n = list(ray)
     for i in reversed(word):
         _reflect(n, i)
-    if any(p < 0 for p in _pairings(n)) or (
+    if _negative_pairings(n) or (
         mu.denominator * denom * dot(_K_ROW, n) + mu.numerator * dot(row, n)
     ):
         raise UnclassifiableError(f"nef-ray certificate failed for A = {format_class(A)}")
@@ -212,7 +316,7 @@ def _boundary_split(
       generator out, and C = p + q on each fibre puts both p and q in.
     """
     rows = enumerate_minus_one_classes().rows
-    negative = [(j, -p) for j, p in enumerate(_pairings(w)) if p < 0]
+    negative = [(j, -p) for j, p in _negative_pairings(w)]
     residual = list(w)
     for j, coeff in negative:
         residual = [r - coeff * x for r, x in zip(residual, rows[j])]
@@ -228,19 +332,18 @@ def _boundary_split(
     conic = tuple(2 * r // twice_delta for r in residual)
     if dot(conic, conic):
         raise UnclassifiableError("residual class has nonzero square")
-    against_conic = list(_pairings(conic))
-    if min(against_conic) < 0:
+    if _negative_pairings(conic):
         raise UnclassifiableError("residual conic class is not nef")
-    if any(against_conic[j] for j, _ in negative):
+    face = set(_zero_pairings(conic))
+    if any(j not in face for j, _ in negative):
         raise UnclassifiableError("negative part is not vertical for the fiber class")
-    return negative, twice_delta, conic, {j for j, p in enumerate(against_conic) if p == 0}
+    return negative, twice_delta, conic, face
 
 
 @lru_cache(maxsize=None)
 def _orthogonal_mask(j: int) -> int:
     """Bit k set iff the j-th and k-th (-1)-classes are orthogonal."""
-    row = enumerate_minus_one_classes().rows[j]
-    return sum(1 << k for k, p in enumerate(_pairings(row)) if p == 0)
+    return sum(1 << k for k in _zero_pairings(enumerate_minus_one_classes().rows[j]))
 
 
 def _extend_to_disjoint_eight(chosen: list[int]) -> list[int] | None:
@@ -296,6 +399,13 @@ def _orthogonal_conic(seven: list[int]) -> tuple[int, ...]:
 
 
 def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
+    """Check the profile's own fields; raise UnclassifiableError on the first that fails.
+
+    a is non-empty, descending, non-negative with a_0 < 1, delta >= 0 (0
+    without a conic), the basis and conic are integral, and
+    K + mu*A = sum(a_i * basis_i) + delta*C holds in integers over one
+    common denominator of a, delta, mu and A.
+    """
     a = profile.a
     if not a or not a[0] < 1:
         raise UnclassifiableError(f"leading coefficient {a[0] if a else '?'} not < 1")
@@ -307,8 +417,21 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
     terms = list(zip(a, profile.basis))
     if profile.conic is not None:
         terms.append((profile.delta, profile.conic))
-    total = tuple(sum(c * e.coeffs[i] for c, e in terms if e.coeffs[i]) for i in range(9))
-    if total != tuple(k + profile.mu * x for k, x in zip(_K_ROW, A.coeffs)):
+    elif profile.delta:
+        raise UnclassifiableError("nonzero delta without a conic")
+    mu = profile.mu
+    den, row = clear(A.coeffs)
+    den *= mu.denominator  # mu*A = num(mu)*row/den
+    scale = lcm(den, *(c.denominator for c, _ in terms))
+    step = scale // den * mu.numerator
+    total = [scale * k + step * x for k, x in zip(_K_ROW, row)]
+    for c, e in terms:
+        if any(x.denominator != 1 for x in e.coeffs):
+            raise UnclassifiableError(f"decomposition class {format_class(e)} is not integral")
+        if c:
+            m = scale // c.denominator * c.numerator
+            total = [t - m * x.numerator for t, x in zip(total, e.coeffs)]
+    if any(total):
         raise UnclassifiableError("recomposition identity failed")
 
 
@@ -372,7 +495,7 @@ def classify(A: PicardClass) -> PolarizationProfile:
         mu=mu,
         a=a,
         delta=Fraction(twice_delta, 2 * s),
-        s_A=sum(a[1:], Fraction(0)),
+        s_A=Fraction(sum(c for _, c in chosen[1:]), s),
         face_generators=frozenset(curves.members[j] for j in sorted(face)),
         basis=tuple(curves.members[j] for j, _ in chosen),
         conic=None if conic is None else PicardClass(conic),

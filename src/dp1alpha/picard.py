@@ -25,7 +25,7 @@ RANK = 9
 class PicardClass:
     """An element of Pic(S) x Q as a 9-tuple of rational coordinates."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -62,7 +62,18 @@ class PicardClass:
         return isinstance(other, PicardClass) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # hash(coeffs), computed once: classify hashes the same cached
+        # (-1)-class members into every face set it builds
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self.coeffs)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the coordinates; __setattr__ refuses slot state
+        return PicardClass, (self.coeffs,)
 
     def __lt__(self, other: "PicardClass") -> bool:
         return self.coeffs < other.coeffs

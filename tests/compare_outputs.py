@@ -17,7 +17,9 @@ list:
   acceptance criterion 10's generator at seeds 5 and 77: the ample ones it
   keeps, and the ones it rejects, which test the error paths;
 - `classify` and `alpha conjecture` on the classes of BRANCHES, which
-  reach the `classify` branches those draws miss;
+  reach the `classify` branches those draws miss, and on those of WIDE,
+  whose integer rows pass the packed scan's 2^62 slot bound and take the
+  plain scan;
 - `counterexample --lambda k/40` for k = 0..39;
 - the bad-input commands of test_cli.TestColdProcess.
 
@@ -123,6 +125,26 @@ BRANCHES = [
 ]
 
 
+def _scaled(text: str, factor: Fraction) -> str:
+    return ",".join(str(Fraction(x) * factor) for x in text.split(","))
+
+
+# Classes with 20-digit denominators: K + mu*A, as an integer row, passes
+# the 2^62 bound of cone's packed scan.  Scaling a class leaves its profile
+# data fixed and divides mu; the last class is not ample.
+_WIDE = 10**20
+WIDE = [
+    _scaled("3,-1,-1,-1,-1,-1,-4/5,-3/5,-1/2", Fraction(_WIDE + 1, _WIDE)),  # P2
+    _scaled(BRANCHES[3], Fraction(_WIDE + 3, _WIDE)),  # F1
+    _scaled(BRANCHES[4], Fraction(_WIDE + 7, _WIDE)),  # P1xP1
+    _scaled(BRANCHES[0], Fraction(_WIDE - 1, _WIDE)),
+    f"3,-1,-1,-1,-1,-1,-1,-1,-{_WIDE // 2 + 1}/{_WIDE}",
+    f"19/5,-9/5,-{4 * (_WIDE + 9) // 5}/{_WIDE + 9},-7/10,-3/5,-1/2,-2/5,-3/10,-9/5",
+    f"3,-1,-1,-1,-1,-1,-1,-1,-{_WIDE + 1}/{_WIDE}",
+    f"3,-1,-1,-1,-1,-1,-1,-1,1/{_WIDE}",
+]
+
+
 def argvs() -> list[list[str]]:
     classes = criterion_10_draws(5) + criterion_10_draws(77)
     return (
@@ -130,7 +152,7 @@ def argvs() -> list[list[str]]:
         + LEMMAS
         + [[*command, "--class", text] for text in classes
            for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
-        + [[*command, "--class", text] for text in BRANCHES
+        + [[*command, "--class", text] for text in BRANCHES + WIDE
            for command in (["classify"], ["alpha", "conjecture"])]
         + [["counterexample", "--lambda", str(Fraction(k, 40))] for k in range(40)]
         + BAD_INPUT

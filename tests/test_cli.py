@@ -636,7 +636,7 @@ class TestGrammarFuzz:
 
 
 PICARD = {"picard"}
-CONE = {"cone", "linprog"} | PICARD
+CONE = {"cone"} | PICARD
 ALPHA = {"alpha"} | CONE
 WEIERSTRASS = {"weierstrass"}
 LEMMAS = {"lemmas", "fme"}

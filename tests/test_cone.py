@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -862,3 +863,216 @@ class TestChamber:
         with pytest.raises(UnclassifiableError):
             for a in _criterion_10_classes(8) + PENCIL:
                 mu_threshold(a)
+
+
+_FORM_SIGNS = (1,) + (-1,) * 8
+
+
+def _plain_pairings(w) -> list[int]:
+    """w.E for the 240 (-1)-classes, one comprehension over their rows."""
+    return [
+        sum(s * x * y for s, x, y in zip(_FORM_SIGNS, w, row))
+        for row in enumerate_minus_one_classes().rows
+    ]
+
+
+def _slot_bound(w) -> int:
+    return 6 * abs(w[0]) + 3 * sum(abs(x) for x in w[1:])
+
+
+# The slot bound 6|w_0| + 3*sum(|w_i|) is a multiple of 3, and so is
+# 2^62 - 1: it is the largest bound the packed scan takes.  2^62 and
+# 2^62 + 1 are not multiples of 3, so 2^62 + 2 is the least bound that
+# falls back to the plain scan.
+_TOP = (1 << 62) - 1
+
+
+def _rows_at_bound(bound: int) -> list[tuple[int, ...]]:
+    """Rows with exactly this slot bound (a multiple of 3), in several shapes and signs.
+
+    (x, y, 0, ..., 0) with 6x + 3y = bound pairs to the whole bound with
+    6H - 3e1 - 2(e2 + ... + e8), the slot's extreme value.
+    """
+    third = bound // 3
+    assert 3 * third == bound
+    rows = [(1, third - 2, 0, 0, 0, 0, 0, 0, 0), (0, third, 0, 0, 0, 0, 0, 0, 0)]
+    rows.append((third // 2, third % 2, 0, 0, 0, 0, 0, 0, 0))
+    spread = [third // 9] * 8
+    spread[0] += third - 2 * (third // 9) - sum(spread)
+    rows.append((third // 9, *spread))
+    rows.append((third // 9, *(x if i % 2 else -x for i, x in enumerate(spread))))
+    assert all(_slot_bound(row) == bound for row in rows)
+    return rows + [tuple(-x for x in row) for row in rows]
+
+
+class TestPackedPairings:
+    """The packed 64-bit-slot scan against a plain comprehension over the 240 rows."""
+
+    @staticmethod
+    def _check(w) -> None:
+        plain = _plain_pairings(w)
+        negative = [(j, p) for j, p in enumerate(plain) if p < 0]
+        assert cone._negative_pairings(w) == negative
+        assert (cone._negative_pairings(w) == []) == all(p >= 0 for p in plain)
+        assert cone._zero_pairings(w) == [j for j, p in enumerate(plain) if p == 0]
+
+    def test_every_minus_one_and_conic_row(self):
+        rows = enumerate_minus_one_classes().rows + enumerate_conic_classes().rows
+        for w in rows:
+            assert cone._packed(w) is not None
+            self._check(w)
+
+    def test_orthogonal_masks(self):
+        rows = enumerate_minus_one_classes().rows
+        for j, row in enumerate(rows):
+            expected = sum(1 << k for k, p in enumerate(_plain_pairings(row)) if p == 0)
+            assert cone._orthogonal_mask(j) == expected
+
+    def test_random_small_rows(self):
+        rng = random.Random(62)
+        for _ in range(1500):
+            w = tuple(rng.randint(-20, 20) for _ in range(9))
+            self._check(w)
+        for _ in range(300):  # K + t*A-shaped rows, with and without negatives
+            scale = rng.randint(1, 400)
+            w = tuple(k * scale + rng.randint(-scale, 2 * scale) * x
+                      for k, x in zip(cone._K_ROW, (3, -1, -1, -1, -1, -1, -1, -1, -1)))
+            self._check(w)
+
+    @pytest.mark.parametrize("offset", [-3, 0])
+    def test_rows_at_the_slot_bound_are_packed(self, offset):
+        bound = _TOP + offset
+        for w in _rows_at_bound(bound):
+            assert cone._packed(w) is not None
+            self._check(w)
+        # the first row and its negative reach the slot values 2^62 +- bound
+        top = enumerate_minus_one_classes().rows.index((6, -3, -2, -2, -2, -2, -2, -2, -2))
+        assert _plain_pairings(_rows_at_bound(bound)[0])[top] == bound
+
+    @pytest.mark.parametrize("offset", [3, 6])
+    def test_rows_past_the_slot_bound_take_the_plain_scan(self, offset):
+        for w in _rows_at_bound(_TOP + offset):
+            assert cone._packed(w) is None
+            self._check(w)
+
+    def test_rows_far_past_the_slot_bound(self):
+        rng = random.Random(30)
+        for digits in (19, 20, 30, 100):
+            for _ in range(40):
+                w = tuple(rng.randint(-10**digits, 10**digits) for _ in range(9))
+                if _slot_bound(w) >= 1 << 62:
+                    assert cone._packed(w) is None
+                self._check(w)
+        # a large multiple of a (-1)-class: zeros and negatives survive the fallback
+        for row in enumerate_minus_one_classes().rows[::17]:
+            self._check(tuple(10**25 * x for x in row))
+
+    def test_packed_magnitudes_near_the_bound(self):
+        rng = random.Random(59)
+        for bits in range(50, 62):
+            for _ in range(40):
+                w = tuple(rng.randint(-(1 << bits), 1 << bits) // 40 for _ in range(9))
+                self._check(w)
+
+
+def _fraction_validate(profile: PolarizationProfile, a: PicardClass) -> None:
+    """The recomposition check in Fractions: ordering, signs, and the identity."""
+    coeffs = profile.a
+    if not coeffs or not coeffs[0] < 1 or list(coeffs) != sorted(coeffs, reverse=True):
+        raise UnclassifiableError("shape")
+    if coeffs[-1] < 0 or profile.delta < 0:
+        raise UnclassifiableError("sign")
+    total = ZERO
+    for c, e in zip(coeffs, profile.basis):
+        total = total + c * e
+    if profile.conic is not None:
+        total = total + profile.delta * profile.conic
+    if total != K + profile.mu * a:
+        raise UnclassifiableError("identity")
+
+
+_VALIDATED = {
+    P2: "3,-1,-1,-1,-1,-1,-4/5,-3/5,-1/2",
+    F1: "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",
+    P1XP1: "9,-2,-5/2,-11/3,-1,-2,-4,-8/3,-3",
+}
+
+
+def _mutants(profile: PolarizationProfile):
+    """(name, profile) with one field changed so that the decomposition no longer holds."""
+    a = profile.a
+    curves = enumerate_minus_one_classes().members
+    for i in range(len(a)):
+        # a value between the neighbours where there is room, so that only
+        # the identity can fail; inside a run of equal values, a step up
+        upper = a[i - 1] if i else Fraction(1)
+        lower = a[i + 1] if i + 1 < len(a) else Fraction(0)
+        value = next((x for x in ((a[i] + upper) / 2, (a[i] + lower) / 2) if x != a[i]),
+                     a[i] + Fraction(1, 97))
+        yield f"a[{i}]", replace(profile, a=a[:i] + (value,) + a[i + 1 :])
+    yield "delta", replace(profile, delta=profile.delta + Fraction(1, 7))
+    yield "mu", replace(profile, mu=profile.mu * Fraction(1001, 1000))
+    for i, c in enumerate(a):
+        if c:
+            other = next(e for e in curves if e not in profile.basis)
+            swapped = profile.basis[:i] + (other,) + profile.basis[i + 1 :]
+            yield f"basis[{i}]", replace(profile, basis=swapped)
+    if profile.delta:
+        other = next(c for c in enumerate_conic_classes() if c != profile.conic)
+        yield "conic", replace(profile, conic=other)
+
+
+def _half_integral_mutants(profile: PolarizationProfile):
+    """Mutants whose decomposition still holds in rationals, with a class that is not integral."""
+    for i, c in enumerate(profile.a):
+        if not c:
+            halved = profile.basis[:i] + (Fraction(1, 2) * profile.basis[i],) + profile.basis[i + 1 :]
+            yield f"basis[{i}]/2", replace(profile, basis=halved)
+    if profile.delta:
+        yield "conic/2", replace(
+            profile, conic=Fraction(1, 2) * profile.conic, delta=2 * profile.delta
+        )
+
+
+class TestValidateProfile:
+    """The integer recomposition in `_validate_profile` is as strict as the Fraction one."""
+
+    @pytest.mark.parametrize("type_tag", [P2, F1, P1XP1])
+    def test_every_one_field_mutant_is_refused(self, type_tag):
+        a = parse_class(_VALIDATED[type_tag])
+        profile = classify(a)
+        assert profile.type_tag == type_tag
+        assert any(profile.a) and (profile.delta > 0) is (type_tag != P2)
+        cone._validate_profile(profile, a)
+        _fraction_validate(profile, a)
+        names = []
+        for name, mutant in _mutants(profile):
+            with pytest.raises(UnclassifiableError):
+                cone._validate_profile(mutant, a)
+            if name != "delta" or profile.conic is not None:
+                with pytest.raises(UnclassifiableError):
+                    _fraction_validate(mutant, a)
+            names.append(name)
+        assert {"delta", "mu"} <= set(names) and any(n.startswith("basis") for n in names)
+        assert ("conic" in names) is (type_tag != P2)
+
+    @pytest.mark.parametrize("type_tag", [P2, F1, P1XP1])
+    def test_non_integral_classes_are_refused(self, type_tag):
+        a = parse_class(_VALIDATED[type_tag])
+        profile = classify(a)
+        mutants = list(_half_integral_mutants(profile))
+        assert mutants
+        for _, mutant in mutants:
+            _fraction_validate(mutant, a)  # the identity still holds
+            with pytest.raises(UnclassifiableError, match="not integral"):
+                cone._validate_profile(mutant, a)
+
+    def test_wide_denominators(self):
+        # the common denominator passes 2^62, as in the CLI's wide cases
+        for text in _VALIDATED.values():
+            a = Fraction(10**20 + 1, 10**20) * parse_class(text)
+            profile = classify(a)
+            cone._validate_profile(profile, a)
+            for _, mutant in _mutants(profile):
+                with pytest.raises(UnclassifiableError):
+                    cone._validate_profile(mutant, a)

@@ -79,7 +79,7 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     )
     steps = json.loads(fresh_python(code).stdout)
     picard = ["dp1alpha.picard", "dp1alpha.rationals"]
-    cone = ["dp1alpha.cone", "dp1alpha.linprog"] + picard
+    cone = ["dp1alpha.cone"] + picard
     assert steps == [
         [],
         picard,

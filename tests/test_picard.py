@@ -228,6 +228,65 @@ class TestLatticeBasics:
         assert len({h, hyperplane_class()}) == 1
 
 
+_HASHED = [
+    (3, -1, -1, -1, -1, -1, -1, -1, -1),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (Fraction(19, 5), Fraction(-9, 5), -1, Fraction(-7, 10), 0, 2, 5, Fraction(1, 3), -7),
+    (Fraction(10**30 + 1, 10**20), -(10**40), 1, 0, 0, 0, 0, 0, Fraction(-1, 2**70)),
+]
+
+
+class TestCachedHash:
+    """The hash is stored on first use; it stays the hash of the Fraction coordinates."""
+
+    @pytest.mark.parametrize("coeffs", _HASHED)
+    def test_hash_of_the_fraction_tuple(self, coeffs):
+        for given_coeffs in (coeffs, tuple(map(Fraction, coeffs))):
+            v = PicardClass(given_coeffs)
+            expected = hash(tuple(Fraction(c) for c in coeffs))
+            assert hash(v) == expected
+            assert hash(v) == expected  # the stored value
+
+    @pytest.mark.parametrize("coeffs", _HASHED)
+    def test_copies_and_pickles_keep_equality_and_hash(self, coeffs):
+        import copy
+        import pickle
+
+        v = PicardClass(coeffs)
+        for hashed_first in (False, True):
+            if hashed_first:
+                hash(v)
+            for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(twin) is PicardClass
+                assert twin == v and twin.coeffs == v.coeffs
+                assert hash(twin) == hash(v)
+                with pytest.raises(AttributeError):
+                    twin.coeffs = ()  # type: ignore[misc]
+
+    def test_slots_cannot_be_set(self):
+        v = PicardClass(_HASHED[2])
+        for hashed_first in (False, True):
+            if hashed_first:
+                hash(v)
+            for name in ("coeffs", "_hash"):
+                with pytest.raises(AttributeError):
+                    setattr(v, name, 0)
+            with pytest.raises(AttributeError):
+                v.extra = 1  # type: ignore[attr-defined]
+        assert hash(v) == hash(tuple(map(Fraction, _HASHED[2])))
+
+    def test_curve_set_membership(self):
+        minus_one, conics = enumerate_minus_one_classes(), enumerate_conic_classes()
+        for family, other in ((minus_one, conics), (conics, minus_one)):
+            for row in family.rows[::7]:
+                for v in (PicardClass(row), PicardClass(map(Fraction, row))):
+                    hash(v)
+                    assert v in family and v not in other
+        assert PicardClass((Fraction(1, 2),) + (0,) * 8) not in minus_one
+        assert 2 * exceptional_class(1) not in minus_one
+        assert hyperplane_class() not in conics
+
+
 class TestBertini:
     def test_fixes_canonical_class(self):
         k = canonical_class()
