@@ -8,10 +8,13 @@ system yields an exact witness point recovered by back-substitution.
 The elimination runs on integer rows in lowest terms.  Each is a positive
 multiple of its rational row, so every sign test, comparison and bound is
 the rational one.  A row keeps its origin (a constraint, or the pair it was
-combined from) and bit masks of the constraints it draws on and of the
-variables they contain; multipliers are rebuilt from the origins for the
-contradiction alone.  Back-substitution keeps integer numerators over one
-common denominator.
+combined from), bit masks of the constraints it draws on and of the
+variables they contain, and its primitive direction (the coefficients over
+their gcd); multipliers are rebuilt from the origins for the contradiction
+alone.  Back-substitution keeps integer numerators over one common
+denominator, and each bound on a variable as an integer pair (num, den)
+with den > 0, compared by cross-multiplication; only the two bounds that
+win become Fractions.
 
 Redundant rows are dropped by Chernikov's rule in Kohler's counting form
 (Chernikov 1965; Kohler 1967; Imbert 1993).  Once the variables V are
@@ -25,6 +28,11 @@ first.  Counting only the variables eliminated on the row's own path drops
 more, but not safely together with the pruning of parallel rows:
 back-substitution then met an empty interval on systems that the exact
 simplex calls feasible.  test_fme.TestChernikovBound has both cases.
+
+The bound is tested on the masks before a pair is built, so a dropped pair
+costs two bit counts.  A pair whose rows point in opposite directions
+cancels every coefficient, and is built whatever the bound says: it may be
+the contradiction.
 """
 
 from __future__ import annotations
@@ -141,13 +149,21 @@ class _Row:
     # variables those constraints contain.  origin is (index, weight)
     # for weight times constraint index, or (positive, negative, var) for a
     # pair; from it _rebuild recovers the multipliers of the one row that
-    # needs them, the contradiction.
+    # needs them, the contradiction.  direction is coeffs over their gcd,
+    # set by _initial_rows and _prune (None on a pair until _prune keys it),
+    # so the stage loop tests two rows for full cancellation by comparing it.
     coeffs: list[int]
     strict: bool
     rhs: int
     ancestors: int
     variables: int
     origin: tuple
+    direction: tuple[int, ...] | None = None
+
+
+def _direction(coeffs: list[int], divisor: int) -> tuple[int, ...]:
+    """coeffs over divisor, their gcd (0 for a zero row)."""
+    return tuple(coeffs) if divisor <= 1 else tuple([c // divisor for c in coeffs])
 
 
 def _initial_rows(system: LinearSystem) -> list[_Row]:
@@ -156,30 +172,19 @@ def _initial_rows(system: LinearSystem) -> list[_Row]:
         scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
         bit = 1 << index
         variables = sum(1 << j for j, c in enumerate(ints) if c)
-        rows.append(_Row(ints, rel == LT, scaled_rhs, bit, variables, (index, scale)))
+        direction = _direction(ints, math.gcd(*ints))
+        rows.append(_Row(ints, rel == LT, scaled_rhs, bit, variables, (index, scale), direction))
         if rel == EQ:
             negated = [-c for c in ints]
-            rows.append(_Row(negated, False, -scaled_rhs, bit, variables, (index, -scale)))
+            reverse = tuple([-c for c in direction])
+            rows.append(_Row(negated, False, -scaled_rhs, bit, variables, (index, -scale), reverse))
     return rows
 
 
-def _combine(positive: _Row, negative: _Row, var: int, eliminated: int) -> _Row | None:
-    """positive * (-N_v) + negative * P_v in lowest terms, or None past the bound.
-
-    A row drawing on more constraints than one plus the eliminated variables
-    (a bit mask, var included) that those constraints contain is implied by
-    other rows of the projection, so it is dropped before its rhs is built;
-    a pair that cancels every coefficient is still built, since it may be
-    the contradiction.
-    """
+def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
+    """positive * (-N_v) + negative * P_v in lowest terms: the row of a pair the stage keeps."""
     scale_p = -negative.coeffs[var]
     scale_n = positive.coeffs[var]
-    ancestors = positive.ancestors | negative.ancestors
-    variables = positive.variables | negative.variables
-    if ancestors.bit_count() > 1 + (variables & eliminated).bit_count() and any(
-        p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)
-    ):
-        return None
     coeffs = [p * scale_p + n * scale_n for p, n in zip(positive.coeffs, negative.coeffs)]
     rhs = positive.rhs * scale_p + negative.rhs * scale_n
     divisor = math.gcd(rhs, *coeffs)
@@ -190,8 +195,8 @@ def _combine(positive: _Row, negative: _Row, var: int, eliminated: int) -> _Row 
         coeffs,
         positive.strict or negative.strict,
         rhs,
-        ancestors,
-        variables,
+        positive.ancestors | negative.ancestors,
+        positive.variables | negative.variables,
         (positive, negative, var),
     )
 
@@ -229,7 +234,10 @@ def _rebuild(
 
 
 def _prune(rows: list[_Row]) -> list[_Row]:
-    """Drop tautologies and every row that a parallel, tighter row implies."""
+    """Drop tautologies and every row that a parallel, tighter row implies.
+
+    Sets each row's direction, the primitive normal that keys the comparison.
+    """
     kept: dict[tuple[int, ...], tuple[int, _Row]] = {}
     passthrough: list[_Row] = []
     for row in rows:
@@ -241,7 +249,7 @@ def _prune(rows: list[_Row]) -> list[_Row]:
             continue
         # rows with the same primitive normal are positive multiples of each
         # other; compare rhs / divisor by cross-multiplication
-        key = tuple(c // divisor for c in row.coeffs)
+        key = row.direction = _direction(row.coeffs, divisor)
         previous = kept.get(key)
         if previous is not None:
             previous_divisor, previous_row = previous
@@ -266,13 +274,20 @@ def _contradiction(rows: list[_Row]) -> _Row | None:
 
 
 def _pick_variable(rows: list[_Row], width: int) -> int:
+    """The variable with the fewest pairs to combine; the lowest index among equal costs."""
+    positive = [0] * width
+    negative = [0] * width
+    for row in rows:
+        for var, c in enumerate(row.coeffs):
+            if c > 0:
+                positive[var] += 1
+            elif c < 0:
+                negative[var] += 1
     best_var, best_cost = -1, None
-    for var in range(width):
-        positive = sum(1 for r in rows if r.coeffs[var] > 0)
-        negative = sum(1 for r in rows if r.coeffs[var] < 0)
-        if positive + negative == 0:
+    for var, (p, n) in enumerate(zip(positive, negative)):
+        if p + n == 0:
             continue
-        cost = positive * negative
+        cost = p * n
         if best_cost is None or cost < best_cost:
             best_var, best_cost = var, cost
     return best_var
@@ -326,30 +341,55 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         stages.append((var, positive + negative))
         remaining = [r for r in rows if r.coeffs[var] == 0]
         eliminated |= 1 << var
-        combined = [_combine(p, n, var, eliminated) for p in positive for n in negative]
-        rows = _prune(remaining + [row for row in combined if row is not None])
+        # Chernikov's bound on the masks, or opposite directions (a pair that
+        # cancels every coefficient), before a row is built
+        opposites = [
+            (n, n.ancestors, n.variables & eliminated, tuple([-c for c in n.direction]))
+            for n in negative
+        ]
+        for p in positive:
+            p_ancestors, p_variables = p.ancestors, p.variables & eliminated
+            p_direction = p.direction
+            remaining += [
+                _combine(p, n, var)
+                for n, n_ancestors, n_variables, n_opposite in opposites
+                if (p_ancestors | n_ancestors).bit_count()
+                <= 1 + (p_variables | n_variables).bit_count()
+                or p_direction == n_opposite
+            ]
+        rows = _prune(remaining)
     # the values fixed so far are numerators[j] / denom, and the others 0, so
-    # each bound is (rhs*denom - rest) / (c_v*denom) with rest an int
+    # each bound is (rhs*denom - rest) / (c_v*denom) with rest an int, kept
+    # as (num, den) with den > 0; on equal values the strict row wins
     numerators = [0] * width
     denom = 1
     for var, involved in reversed(stages):
-        lower: tuple[Fraction, bool] | None = None
-        upper: tuple[Fraction, bool] | None = None
+        lower: tuple[int, int, bool] | None = None
+        upper: tuple[int, int, bool] | None = None
         for row in involved:
             coeffs = row.coeffs
             rest = sum(c * n for c, n in zip(coeffs, numerators))  # numerators[var] is still 0
-            bound = Fraction(row.rhs * denom - rest, coeffs[var] * denom)
-            if coeffs[var] > 0:
-                if upper is None or bound < upper[0] or (
-                    bound == upper[0] and row.strict
-                ):
-                    upper = (bound, row.strict)
+            num = row.rhs * denom - rest
+            den = coeffs[var] * denom
+            if den > 0:
+                if upper is None:
+                    upper = (num, den, row.strict)
+                else:
+                    mine, theirs = num * upper[1], upper[0] * den
+                    if mine < theirs or (mine == theirs and row.strict):
+                        upper = (num, den, row.strict)
             else:
-                if lower is None or bound > lower[0] or (
-                    bound == lower[0] and row.strict
-                ):
-                    lower = (bound, row.strict)
-        value = _choose_value(lower, upper)
+                num, den = -num, -den
+                if lower is None:
+                    lower = (num, den, row.strict)
+                else:
+                    mine, theirs = num * lower[1], lower[0] * den
+                    if mine > theirs or (mine == theirs and row.strict):
+                        lower = (num, den, row.strict)
+        value = _choose_value(
+            None if lower is None else (Fraction(lower[0], lower[1]), lower[2]),
+            None if upper is None else (Fraction(upper[0], upper[1]), upper[2]),
+        )
         common = math.lcm(denom, value.denominator)
         if common != denom:
             numerators = [n * (common // denom) for n in numerators]

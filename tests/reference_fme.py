@@ -7,10 +7,11 @@ those rows contain), and rows are pruned by duplicate normal vectors.  It is
 kept as an independent implementation of the same rules as
 ``dp1alpha.fme.prove_infeasible`` -- the same row order, variable choice,
 contradiction scan and back-substitution.  The package eliminator stores
-every row as integers in lowest terms, rebuilds multipliers for the
-contradiction only and back-substitutes over one common denominator, so
-both must return equal results -- the same certificate or the same witness
--- on every system.
+every row as integers in lowest terms, tests the bound on bit masks before
+it builds a pair, rebuilds multipliers for the contradiction only and
+back-substitutes over one common denominator with integer bounds, so both
+must return equal results -- the same certificate or the same witness --
+on every system, after building the same number of rows.
 """
 
 from __future__ import annotations

@@ -325,6 +325,77 @@ class TestAgainstReference:
         assert result == FarkasCertificate((Fraction(1),) * 4, frozenset())
         assert result == reference_fme.prove_infeasible(system)
 
+    def test_certify_pool_slow_system(self):
+        # The 7th system of the certify workload's pool, as that workload
+        # relabels it: forced feasible, 6 variables and 11 rows, of which
+        # three are equalities.  The stages test thousands of pairs and keep
+        # only about one in eight.
+        rows = [
+            ((3, -2, 2, -2, 2, 2), LE, Fraction(-40, 3)),
+            ((2, 0, -3, 1, 0, 3), LE, Fraction(9, 2)),
+            ((3, 2, 3, -3, -2, 0), LE, Fraction(-73, 6)),
+            ((2, 1, -2, -2, 1, 3), LE, Fraction(-28, 3)),
+            ((-2, 0, -2, -2, -3, 2), LE, -10),
+            ((-3, -2, -1, 3, 0, -3), LE, Fraction(127, 6)),
+            ((-2, 1, -3, 2, -2, 3), EQ, Fraction(13, 6)),
+            ((-2, 3, 0, 3, 3, 3), LE, 5),
+            ((3, 0, 2, 2, -3, -1), LT, 14),
+            ((1, 3, -1, -1, 3, 3), EQ, Fraction(-17, 2)),
+            ((-3, 1, 1, 0, 0, 2), EQ, Fraction(-59, 6)),
+        ]
+        system = _system([f"v{i}" for i in range(6)], rows)
+        result = prove_infeasible(system)
+        assert isinstance(result, Feasible)
+        assert result == reference_fme.prove_infeasible(system)
+
+
+class TestBackSubstitutionTies:
+    """Bounds of equal value from rows of different scales: the strict row wins.
+
+    Back-substitution compares each bound as an integer pair (num, den) by
+    cross-multiplication; a row with a negative coefficient gives a lower
+    bound whose pair is negated so that den > 0.  Each witness must be the
+    reference eliminator's and satisfy the system.
+    """
+
+    @pytest.mark.parametrize(
+        "variables, rows, witness",
+        [
+            # x <= 1 and x < 1, in both orders: x < 1, so x = 1 - 1
+            (["x"], [((2,), LE, 2), ((3,), LT, 3)], (0,)),
+            (["x"], [((3,), LT, 3), ((2,), LE, 2)], (0,)),
+            # x >= 1 and x > 1, in both orders: x > 1, so x = 1 + 1
+            (["x"], [((-2,), LE, -2), ((-1,), LT, -1)], (2,)),
+            (["x"], [((-1,), LT, -1), ((-2,), LE, -2)], (2,)),
+            # x >= 1 and x >= 2 at scales 2 and 3, under x <= 5: the midpoint of [2, 5]
+            (["x"], [((-2,), LE, -2), ((-3,), LE, -6), ((1,), LE, 5)], (Fraction(7, 2),)),
+            # x > 1 against x < 3 at other scales: the midpoint of (1, 3)
+            (["x"], [((-4,), LE, -4), ((-2,), LT, -2), ((3,), LE, 9)], (2,)),
+            # a closed interval that is one point, x = 1, and a slack strict row
+            (["x"], [((-2,), LE, -2), ((3,), LE, 3), ((5,), LT, 10)], (1,)),
+            (["x"], [((3,), LE, 3), ((5,), LT, 10), ((-2,), LE, -2)], (1,)),
+            # y = 1/2 is fixed first, so x's bounds sit over the common
+            # denominator 2: x <= 1/2 and x < 1/2 tie, and x >= 0
+            (
+                ["x", "y"],
+                [
+                    ((0, 2), LE, 1),
+                    ((0, -2), LE, -1),
+                    ((4, -2), LE, 1),
+                    ((6, -3), LT, Fraction(3, 2)),
+                    ((-1, 0), LE, 0),
+                ],
+                (Fraction(1, 4), Fraction(1, 2)),
+            ),
+        ],
+    )
+    def test_tied_bounds(self, variables, rows, witness):
+        system = _system(variables, rows)
+        result = prove_infeasible(system)
+        assert result == Feasible(tuple(Fraction(w) for w in witness))
+        assert result == reference_fme.prove_infeasible(system)
+        assert system.holds_at(result.witness)
+
 
 def _criterion_10_draw(seed: int, trial: int) -> LinearSystem:
     """The (trial+1)-th system that criterion 10's generator draws at seed."""
@@ -395,7 +466,39 @@ class TestChernikovBound:
         monkeypatch.setattr(fme, "_combine", counting)
         result = prove_infeasible(system)
         assert isinstance(result, Feasible) and _lp_feasibility_probe(system)
+        assert built  # the stage loop builds every kept pair through _combine
         assert len(built) < 1000
+
+    def test_pair_filter_builds_the_reference_rows(self, monkeypatch):
+        # The stage loop tests the bound before it builds a pair; the
+        # reference builds each pair and then applies the bound.  Both must
+        # keep the same rows, so the counts agree on every system.
+        built = {"package": 0, "reference": 0}
+
+        def counting(module, key):
+            combine = module._combine
+
+            def wrapper(*args):
+                row = combine(*args)
+                if row is not None:
+                    built[key] += 1
+                return row
+
+            monkeypatch.setattr(module, "_combine", wrapper)
+
+        counting(fme, "package")
+        counting(reference_fme, "reference")
+        systems = _lemma_systems() + _probe_systems()
+        for seed in (424242, 1, 2):
+            rng = random.Random(seed)
+            systems += [
+                _criterion_10_system(rng, force_feasible=trial % 2 == 0) for trial in range(200)
+            ]
+        for index, system in enumerate(systems):
+            built.update(package=0, reference=0)
+            prove_infeasible(system)
+            reference_fme.prove_infeasible(system)
+            assert built["package"] == built["reference"], f"system {index}"
 
 
 class TestSelfChecksRaise:
