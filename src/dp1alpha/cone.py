@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .picard import (
@@ -398,13 +399,26 @@ def _orthogonal_conic(seven: list[int]) -> tuple[int, ...]:
     raise UnclassifiableError("no conic class orthogonal to the seven generators")
 
 
-def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
-    """Check the profile's own fields; raise UnclassifiableError on the first that fails.
+def _integral_row(e: PicardClass) -> tuple[int, ...]:
+    """The coordinates of e as ints; UnclassifiableError unless e is integral."""
+    denom, row = e.cleared()
+    if denom != 1:
+        raise UnclassifiableError(f"decomposition class {format_class(e)} is not integral")
+    return row
+
+
+def _validate_profile(profile: PolarizationProfile, denom: int, row: tuple[int, ...]) -> None:
+    """Check the profile of A = row/denom; raise UnclassifiableError on the first field that fails.
 
     a is non-empty, descending, non-negative with a_0 < 1, delta >= 0 (0
-    without a conic), the basis and conic are integral, and
-    K + mu*A = sum(a_i * basis_i) + delta*C holds in integers over one
-    common denominator of a, delta, mu and A.
+    without a conic), and has one entry per basis class.  The basis holds
+    distinct (-1)-classes E_i (E_i^2 = K.E_i = -1) with (sum E_i)^2 = -k
+    for k of them: distinct (-1)-classes pair to 0, 1, 2 or 3, so that says
+    they are pairwise orthogonal.  A conic C has C^2 = 0 and K.C = -2, so it is one of the
+    2160 conic classes, which pair non-negatively with every (-1)-class,
+    and C.sum(E_i) = 0 says it is orthogonal to each.  Finally
+    K + mu*A = sum(a_i * E_i) + delta*C holds in integers over one common
+    denominator of a, delta, mu and A.
     """
     a = profile.a
     if not a or not a[0] < 1:
@@ -414,23 +428,38 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
             raise UnclassifiableError("coefficients not sorted")
     if a[-1] < 0 or profile.delta < 0:
         raise UnclassifiableError("negative coefficient in decomposition")
-    terms = list(zip(a, profile.basis))
+    if len(profile.basis) != len(a):
+        raise UnclassifiableError("basis and coefficients differ in length")
+    basis = []
+    for e in profile.basis:
+        e_row = _integral_row(e)
+        if not dot(e_row, e_row) == -1 == dot(_K_ROW, e_row):
+            raise UnclassifiableError(f"basis class {format_class(e)} is not a (-1)-class")
+        basis.append(e_row)
+    if len(set(basis)) != len(basis):
+        raise UnclassifiableError("basis classes repeat")
+    span = [sum(column) for column in zip(*basis)]
+    if dot(span, span) != -len(basis):
+        raise UnclassifiableError("basis classes are not pairwise orthogonal")
+    terms = list(zip(a, basis))
     if profile.conic is not None:
-        terms.append((profile.delta, profile.conic))
+        conic = _integral_row(profile.conic)
+        if dot(conic, conic) or dot(_K_ROW, conic) != -2:
+            raise UnclassifiableError(f"{format_class(profile.conic)} is not a conic class")
+        if dot(conic, span):
+            raise UnclassifiableError("conic class is not orthogonal to the basis")
+        terms.append((profile.delta, conic))
     elif profile.delta:
         raise UnclassifiableError("nonzero delta without a conic")
     mu = profile.mu
-    den, row = clear(A.coeffs)
-    den *= mu.denominator  # mu*A = num(mu)*row/den
+    den = denom * mu.denominator  # mu*A = num(mu)*row/den
     scale = lcm(den, *(c.denominator for c, _ in terms))
     step = scale // den * mu.numerator
     total = [scale * k + step * x for k, x in zip(_K_ROW, row)]
-    for c, e in terms:
-        if any(x.denominator != 1 for x in e.coeffs):
-            raise UnclassifiableError(f"decomposition class {format_class(e)} is not integral")
+    for c, e_row in terms:
         if c:
             m = scale // c.denominator * c.numerator
-            total = [t - m * x.numerator for t, x in zip(total, e.coeffs)]
+            total = [t - m * x for t, x in zip(total, e_row)]
     if any(total):
         raise UnclassifiableError("recomposition identity failed")
 
@@ -472,7 +501,7 @@ def classify(A: PicardClass) -> PolarizationProfile:
         in_negative = {curves.rows[j] for j, _ in chosen}
         for j in sorted(face):
             p = curves.rows[j]
-            q = tuple(c - x for c, x in zip(conic, p))
+            q = tuple(map(sub, conic, p))
             if p < q and p not in in_negative and q not in in_negative:
                 chosen.append((j, 0))
     selected = [j for j, _ in chosen]
@@ -500,5 +529,5 @@ def classify(A: PicardClass) -> PolarizationProfile:
         basis=tuple(curves.members[j] for j, _ in chosen),
         conic=None if conic is None else PicardClass(conic),
     )
-    _validate_profile(profile, A)
+    _validate_profile(profile, den, row)
     return profile

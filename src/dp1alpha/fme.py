@@ -5,6 +5,13 @@ variables.  An infeasible system yields a multiplier certificate whose exact
 recombination produces ``0 < 0`` or ``0 <= -c`` with ``c > 0``; a feasible
 system yields an exact witness point recovered by back-substitution.
 
+Equalities are substituted out first, by exact Gaussian elimination
+(Dantzig and Eaves 1973): each one fixes a pivot variable in terms of the
+others and is removed from every other row.  What enters the elimination is
+then a system of inequalities alone, one row per inequality constraint, and
+the pivots are solved after every other variable.  A system without an
+equality skips this step.
+
 The elimination runs on integer rows in lowest terms.  Each is a positive
 multiple of its rational row, so every sign test, comparison and bound is
 the rational one.  A row keeps its origin (a constraint, or the pair it was
@@ -17,7 +24,11 @@ with den > 0, compared by cross-multiplication; only the two bounds that
 win become Fractions.
 
 Redundant rows are dropped by Chernikov's rule in Kohler's counting form
-(Chernikov 1965; Kohler 1967; Imbert 1993).  Once the variables V are
+(Chernikov 1965; Kohler 1967; Imbert 1993), which holds for a system of
+inequalities; after the substitution each rewritten inequality is one
+constraint of it, with the variables of its rewritten row.  (Splitting an
+equality into two opposite inequalities keeps the rule sound, but the pair
+fills every stage with rows built from it.)  Once the variables V are
 eliminated, a row's multipliers on the constraints it draws on lie in a cone
 cut out by one equation per variable of V that those constraints contain,
 and every extreme ray of that cone draws on at most one constraint more
@@ -147,9 +158,10 @@ class _Row:
     # elimination is invariant under such a rescaling.  ancestors is a bit
     # mask of the constraints the row draws on, variables a bit mask of the
     # variables those constraints contain.  origin is (index, weight)
-    # for weight times constraint index, or (positive, negative, var) for a
-    # pair; from it _rebuild recovers the multipliers of the one row that
-    # needs them, the contradiction.  direction is coeffs over their gcd,
+    # for weight times constraint index, (index, vector) for a row that
+    # _substitute rewrote, or (positive, negative, var) for a pair; from it
+    # _rebuild recovers the multipliers of the one row that needs them, the
+    # contradiction.  direction is coeffs over their gcd,
     # set by _initial_rows and _prune (None on a pair until _prune keys it),
     # so the stage loop tests two rows for full cancellation by comparing it.
     coeffs: list[int]
@@ -166,19 +178,95 @@ def _direction(coeffs: list[int], divisor: int) -> tuple[int, ...]:
     return tuple(coeffs) if divisor <= 1 else tuple([c // divisor for c in coeffs])
 
 
-def _initial_rows(system: LinearSystem) -> list[_Row]:
+def _initial_rows(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[_Row]]]]:
+    """The rows that elimination starts from, and the stages the equalities make.
+
+    Without an equality each row is its constraint in lowest terms and there
+    is no stage; otherwise _substitute rewrites the rows.
+    """
     rows: list[_Row] = []
     for index, (coeffs, rel, rhs) in enumerate(system.constraints):
+        if rel == EQ:
+            return _substitute(system)
         scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
         bit = 1 << index
         variables = sum(1 << j for j, c in enumerate(ints) if c)
         direction = _direction(ints, math.gcd(*ints))
         rows.append(_Row(ints, rel == LT, scaled_rhs, bit, variables, (index, scale), direction))
-        if rel == EQ:
-            negated = [-c for c in ints]
-            reverse = tuple([-c for c in direction])
-            rows.append(_Row(negated, False, -scaled_rhs, bit, variables, (index, -scale), reverse))
-    return rows
+    return rows, []
+
+
+def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[_Row]]]]:
+    """Substitute the equalities out by Gaussian elimination.
+
+    Each constraint starts as the vector [*coeffs, rhs, *multipliers] =
+    scale * (its row, its unit vector), so that its leading part is the sum
+    of multipliers[i] times constraint i.  Each equality in order, rewritten
+    by the ones before it, takes as pivot its variable of least |coefficient|
+    (the lowest index on ties) and is negated if that coefficient is
+    negative; every row not yet a pivot then becomes r * e_v - r_v * e over
+    the gcd of its entries, a positive multiple of itself plus a multiple of
+    the equality.  An equality rewritten to 0 = 0 is dropped; one rewritten
+    to 0 = c with c != 0, times -sign(c), is returned as the only row: the
+    contradiction.
+
+    Returns the inequality rows in lowest terms, each keeping its vector as
+    its origin, and one stage per pivot, in order, whose rows e <= rhs and
+    -e <= -rhs are the two bounds that fix the pivot.  No later row has the
+    pivot variable, so back-substitution, which runs the stages in reverse,
+    solves the pivots last.
+    """
+    width = len(system.variables)
+    count = len(system.constraints)
+    vectors = []
+    for index, (coeffs, _, rhs) in enumerate(system.constraints):
+        scale, ints = clear((*coeffs, rhs))
+        multipliers = [0] * count
+        multipliers[index] = scale
+        vectors.append([*ints, *multipliers])
+    relations = [rel for _, rel, _ in system.constraints]
+    equalities = [i for i, rel in enumerate(relations) if rel == EQ]
+    inequalities = [i for i, rel in enumerate(relations) if rel != EQ]
+    stages: list[tuple[int, list[_Row]]] = []
+    for position, index in enumerate(equalities):
+        e = vectors[index]
+        nonzero = [(abs(c), j) for j, c in enumerate(e[:width]) if c]
+        if not nonzero:
+            if e[width] == 0:
+                continue
+            if e[width] > 0:
+                e = [-x for x in e]
+            return [_Row([0] * width, False, e[width], 1 << index, 0, (index, e))], []
+        var = min(nonzero)[1]
+        if e[var] < 0:
+            e = [-x for x in e]
+        pivot = e[var]
+        for other in equalities[position + 1 :] + inequalities:
+            r = vectors[other]
+            c = r[var]
+            if c:
+                r = [x * pivot - c * y for x, y in zip(r, e)]
+                divisor = math.gcd(*r)
+                vectors[other] = [x // divisor for x in r] if divisor > 1 else r
+        coeffs = e[:width]
+        bounds = [
+            _Row(coeffs, False, e[width], 0, 0, ()),
+            _Row([-c for c in coeffs], False, -e[width], 0, 0, ()),
+        ]
+        stages.append((var, bounds))
+    rows = []
+    for index in inequalities:
+        vector = vectors[index]
+        *ints, rhs = vector[: width + 1]
+        divisor = math.gcd(rhs, *ints)
+        if divisor > 1:
+            ints = [c // divisor for c in ints]
+            rhs //= divisor
+        variables = sum(1 << j for j, c in enumerate(ints) if c)
+        direction = _direction(ints, math.gcd(*ints))
+        strict = relations[index] == LT
+        rows.append(_Row(ints, strict, rhs, 1 << index, variables, (index, vector), direction))
+    return rows, stages
 
 
 def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
@@ -216,9 +304,12 @@ def _rebuild(
     if known is None:
         if len(row.origin) == 2:
             index, weight = row.origin
-            history = [0] * count
-            history[index] = weight
-            known = [*row.coeffs, row.rhs, *history], abs(weight)
+            if isinstance(weight, int):
+                history = [0] * count
+                history[index] = weight
+                known = [*row.coeffs, row.rhs, *history], abs(weight)
+            else:  # the vector of a row that _substitute rewrote
+                known = weight, abs(weight[len(row.coeffs) + 1 + index])
         else:
             positive, negative, var = row.origin
             vector_p, denom_p = _rebuild(positive, count, memo)
@@ -313,8 +404,7 @@ def _choose_value(
 def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
     """Eliminate all variables; return a verified certificate or a witness."""
     width = len(system.variables)
-    rows = _initial_rows(system)
-    stages: list[tuple[int, list[_Row]]] = []
+    rows, stages = _initial_rows(system)
     eliminated = 0
     while True:
         bad = _contradiction(rows)

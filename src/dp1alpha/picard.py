@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import clear, format_rational, parse_rational
 
 RANK = 9
 
@@ -25,7 +25,7 @@ RANK = 9
 class PicardClass:
     """An element of Pic(S) x Q as a 9-tuple of rational coordinates."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_cleared")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -69,6 +69,19 @@ class PicardClass:
         except AttributeError:
             value = hash(self.coeffs)
             object.__setattr__(self, "_hash", value)
+            return value
+
+    def cleared(self) -> tuple[int, tuple[int, ...]]:
+        """`rationals.clear(coeffs)`: the least common denominator and the integer row.
+
+        Computed once, like the hash: `cone._validate_profile` reads the
+        rows of the same cached (-1)-class members on every `classify`.
+        """
+        try:
+            return self._cleared
+        except AttributeError:
+            value = clear(self.coeffs)
+            object.__setattr__(self, "_cleared", value)
             return value
 
     def __reduce__(self):

@@ -1,12 +1,14 @@
 """Reference oracle: Fourier-Motzkin elimination in plain ``Fraction`` arithmetic.
 
-This is the textbook eliminator: every derived row is ``P/P_v + N/(-N_v)``
-built in full with its multipliers, unless Chernikov's rule drops it (a row
-drawing on more original rows than one plus the eliminated variables that
-those rows contain), and rows are pruned by duplicate normal vectors.  It is
-kept as an independent implementation of the same rules as
-``dp1alpha.fme.prove_infeasible`` -- the same row order, variable choice,
-contradiction scan and back-substitution.  The package eliminator stores
+This is the textbook eliminator: the equalities are substituted out first
+(each row becomes ``r - (r_v / e_v) * e`` with its multipliers), every
+derived row is ``P/P_v + N/(-N_v)`` built in full with its multipliers,
+unless Chernikov's rule drops it (a row drawing on more original rows than
+one plus the eliminated variables that those rows contain), and rows are
+pruned by duplicate normal vectors.  It is kept as an independent
+implementation of the same rules as ``dp1alpha.fme.prove_infeasible`` --
+the same pivots, row order, variable choice, contradiction scan and
+back-substitution.  The package eliminator substitutes in integers, stores
 every row as integers in lowest terms, tests the bound on bit masks before
 it builds a pair, rebuilds multipliers for the contradiction only and
 back-substitutes over one common denominator with integer bounds, so both
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dp1alpha.fme import EQ, LE, LT, FarkasCertificate, Feasible, LinearSystem, check_certificate
+from dp1alpha.fme import EQ, LT, FarkasCertificate, Feasible, LinearSystem, check_certificate
 
 
 @dataclass
@@ -32,20 +34,56 @@ class _Row:
     ancestors: frozenset[int]
 
 
-def _initial_rows(system: LinearSystem) -> list[_Row]:
+def _initial_rows(
+    system: LinearSystem,
+) -> tuple[list[_Row], list[tuple[int, list[Fraction], Fraction]], list[frozenset[int]]]:
+    """Substitute the equalities out: (inequality rows, pivots, support per constraint).
+
+    Each equality in order, rewritten by the ones before it, takes as pivot
+    its variable of least |coefficient| (the lowest index on ties), and every
+    row not yet a pivot becomes r - (r_v / e_v) * e.  An equality rewritten
+    to 0 = 0 is dropped; one rewritten to 0 = c with c != 0, times -sign(c),
+    is returned as the only row.  A row's support is that of its rewritten
+    coefficients.
+    """
     count = len(system.constraints)
-    rows: list[_Row] = []
-    for index, (coeffs, rel, rhs) in enumerate(system.constraints):
+    current = []
+    for index, (coeffs, _, rhs) in enumerate(system.constraints):
         unit = [Fraction(0)] * count
         unit[index] = Fraction(1)
-        if rel in (LE, LT):
-            rows.append(_Row(list(coeffs), rel == LT, rhs, unit, frozenset([index])))
-        else:
-            negated = [Fraction(0)] * count
-            negated[index] = Fraction(-1)
-            rows.append(_Row(list(coeffs), False, rhs, unit, frozenset([index])))
-            rows.append(_Row([-c for c in coeffs], False, -rhs, negated, frozenset([index])))
-    return rows
+        current.append((list(coeffs), rhs, unit))
+    equalities = [i for i, (_, rel, _) in enumerate(system.constraints) if rel == EQ]
+    pivots: list[tuple[int, list[Fraction], Fraction]] = []
+    for position, index in enumerate(equalities):
+        coeffs, rhs, history = current[index]
+        nonzero = [j for j, c in enumerate(coeffs) if c != 0]
+        if not nonzero:
+            if rhs == 0:
+                continue
+            sign = 1 if rhs > 0 else -1
+            row = _Row(coeffs, False, -sign * rhs, [-sign * h for h in history], frozenset([index]))
+            return [row], [], [frozenset()] * count
+        var = min(nonzero, key=lambda j: abs(coeffs[j]))
+        pivots.append((var, coeffs, rhs))
+        later = equalities[position + 1 :] + [
+            i for i, (_, rel, _) in enumerate(system.constraints) if rel != EQ
+        ]
+        for other in later:
+            r_coeffs, r_rhs, r_history = current[other]
+            t = r_coeffs[var] / coeffs[var]
+            if t:
+                current[other] = (
+                    [r - t * e for r, e in zip(r_coeffs, coeffs)],
+                    r_rhs - t * rhs,
+                    [r - t * e for r, e in zip(r_history, history)],
+                )
+    rows = [
+        _Row(current[index][0], rel == LT, current[index][1], current[index][2], frozenset([index]))
+        for index, (_, rel, _) in enumerate(system.constraints)
+        if rel != EQ
+    ]
+    support = [frozenset(j for j, c in enumerate(coeffs) if c != 0) for coeffs, _, _ in current]
+    return rows, pivots, support
 
 
 def _combine(
@@ -151,12 +189,8 @@ def _choose_value(
 def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
     """Eliminate all variables; return a verified certificate or a witness."""
     width = len(system.variables)
-    rows = _initial_rows(system)
+    rows, pivots, support = _initial_rows(system)
     stages: list[tuple[int, list[_Row]]] = []
-    support = [
-        frozenset(j for j, c in enumerate(coeffs) if c != 0)
-        for coeffs, _, _ in system.constraints
-    ]
     while True:
         bad = _contradiction(rows)
         if bad is not None:
@@ -202,6 +236,9 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
                 ):
                     lower = (bound, row.strict)
         values[var] = _choose_value(lower, upper)
+    for var, coeffs, rhs in reversed(pivots):
+        rest = sum((c * values[j] for j, c in enumerate(coeffs) if j != var), Fraction(0))
+        values[var] = (rhs - rest) / coeffs[var]
     witness = tuple(values)
     assert system.holds_at(witness)
     return Feasible(witness=witness)

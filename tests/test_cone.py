@@ -1034,8 +1034,62 @@ def _half_integral_mutants(profile: PolarizationProfile):
         )
 
 
+def _validate(profile: PolarizationProfile, a: PicardClass) -> None:
+    cone._validate_profile(profile, *cone.clear(a.coeffs))
+
+
+def _structure_mutants(profile: PolarizationProfile):
+    """(index, message, profile): a basis or conic that breaks the structure.
+
+    index is that of the swapped basis member, or None.  A member with
+    coefficient 0 leaves the recomposition intact when it is swapped, so
+    only the structure checks can refuse those mutants.
+    """
+    basis = profile.basis
+    curves = enumerate_minus_one_classes().members
+    for i in range(len(basis)):
+        others = basis[:i] + basis[i + 1 :]
+        meeting = next(c for c in curves if c not in basis and any(pairing(c, o) for o in others))
+        for message, other in (
+            ("repeat", others[0]),
+            ("not pairwise orthogonal", meeting),
+            (r"not a \(-1\)-class", hyperplane_class()),
+            # E^2 = -1 with K.E = 1; the sum of the basis keeps its square
+            (r"not a \(-1\)-class", -basis[i]),
+            # K.E = -1 with E^2 = -3
+            (r"not a \(-1\)-class", basis[i] + others[0] - others[1]),
+        ):
+            yield i, message, replace(profile, basis=basis[:i] + (other,) + basis[i + 1 :])
+    if profile.conic is not None:
+        meeting = next(
+            c for c in enumerate_conic_classes() if any(pairing(c, e) for e in basis)
+        )
+        yield None, "not orthogonal", replace(profile, conic=meeting)
+        yield None, "not a conic", replace(profile, conic=basis[0])
+        yield None, "not a conic", replace(profile, conic=2 * profile.conic)
+        # K.C = -2 with C^2 = -2
+        yield None, "not a conic", replace(profile, conic=basis[0] + basis[1])
+    yield None, "differ in length", replace(profile, basis=basis[:-1])
+
+
 class TestValidateProfile:
-    """The integer recomposition in `_validate_profile` is as strict as the Fraction one."""
+    """`_validate_profile` checks the basis and conic, and recomposes as strictly as Fractions."""
+
+    @pytest.mark.parametrize("type_tag", [P2, F1, P1XP1])
+    def test_basis_and_conic_structure_is_checked(self, type_tag):
+        a = parse_class(_VALIDATED[type_tag])
+        profile = classify(a)
+        # members equal to the cached (-1)-classes, but not the same objects
+        copies = tuple(PicardClass(e.coeffs) for e in profile.basis)
+        _validate(replace(profile, basis=copies), a)
+        zero_members = 0
+        for index, message, mutant in _structure_mutants(profile):
+            with pytest.raises(UnclassifiableError, match=message):
+                _validate(mutant, a)
+            if index is not None and not profile.a[index]:
+                _fraction_validate(mutant, a)  # the recomposition alone still holds
+                zero_members += 1
+        assert zero_members  # each profile has a member with coefficient 0
 
     @pytest.mark.parametrize("type_tag", [P2, F1, P1XP1])
     def test_every_one_field_mutant_is_refused(self, type_tag):
@@ -1043,12 +1097,12 @@ class TestValidateProfile:
         profile = classify(a)
         assert profile.type_tag == type_tag
         assert any(profile.a) and (profile.delta > 0) is (type_tag != P2)
-        cone._validate_profile(profile, a)
+        _validate(profile, a)
         _fraction_validate(profile, a)
         names = []
         for name, mutant in _mutants(profile):
             with pytest.raises(UnclassifiableError):
-                cone._validate_profile(mutant, a)
+                _validate(mutant, a)
             if name != "delta" or profile.conic is not None:
                 with pytest.raises(UnclassifiableError):
                     _fraction_validate(mutant, a)
@@ -1065,14 +1119,14 @@ class TestValidateProfile:
         for _, mutant in mutants:
             _fraction_validate(mutant, a)  # the identity still holds
             with pytest.raises(UnclassifiableError, match="not integral"):
-                cone._validate_profile(mutant, a)
+                _validate(mutant, a)
 
     def test_wide_denominators(self):
         # the common denominator passes 2^62, as in the CLI's wide cases
         for text in _VALIDATED.values():
             a = Fraction(10**20 + 1, 10**20) * parse_class(text)
             profile = classify(a)
-            cone._validate_profile(profile, a)
+            _validate(profile, a)
             for _, mutant in _mutants(profile):
                 with pytest.raises(UnclassifiableError):
-                    cone._validate_profile(mutant, a)
+                    _validate(mutant, a)

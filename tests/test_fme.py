@@ -169,6 +169,115 @@ class TestEqualityRows:
         assert isinstance(prove_infeasible(system), FarkasCertificate)
 
 
+def _count_combines(monkeypatch) -> list:
+    """The rows the stage loop builds from here on, each through fme._combine."""
+    built = []
+    combine = fme._combine
+
+    def counting(*args):
+        row = combine(*args)
+        built.append(row)
+        return row
+
+    monkeypatch.setattr(fme, "_combine", counting)
+    return built
+
+
+def _equality_heavy_system(rng: random.Random, force_feasible: bool) -> LinearSystem:
+    """Criterion 10's shape (1-6 variables, 2-12 rows) with about half the rows equalities."""
+    count = rng.randint(1, 6)
+    witness = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(count)]
+    rows = []
+    for _ in range(rng.randint(2, 12)):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(count)]
+        roll = rng.random()
+        rel = EQ if roll < 0.5 else LE if roll < 0.8 else LT
+        if force_feasible:
+            value = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+            rhs = value + {EQ: 0, LE: rng.randint(0, 3), LT: rng.randint(1, 3)}[rel]
+        else:
+            rhs = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        rows.append((tuple(coeffs), rel, rhs))
+    return LinearSystem([f"v{i}" for i in range(count)], rows)
+
+
+class TestEqualitySubstitution:
+    """Equalities are substituted out before elimination; the pivot is solved last.
+
+    Each answer is also the reference eliminator's, which substitutes in
+    Fraction arithmetic.
+    """
+
+    def _answer(self, variables, rows):
+        system = _system(variables, rows)
+        result = prove_infeasible(system)
+        assert result == reference_fme.prove_infeasible(system)
+        if isinstance(result, Feasible):
+            assert system.holds_at(result.witness)
+        else:
+            assert check_certificate(system, result)
+        return result
+
+    def test_inconsistent_equalities(self):
+        # x = 1 rewrites x = 2 to 0 = 1, which times -1 is the contradiction
+        result = self._answer(["x"], [((1,), EQ, 1), ((1,), EQ, 2)])
+        assert result == FarkasCertificate((Fraction(1), Fraction(-1)), frozenset())
+
+    def test_dependent_equality_is_dropped(self):
+        # 2x + 2y = 4 rewrites to 0 = 0 and carries no weight
+        rows = [((1, 1), EQ, 2), ((2, 2), EQ, 4), ((-1, 0), LE, 0), ((0, -1), LE, 0)]
+        assert self._answer(["x", "y"], rows) == Feasible((Fraction(1), Fraction(1)))
+        rows[2] = ((-1, 0), LE, -3)  # x >= 3 against x + y = 2 and y >= 0
+        certificate = self._answer(["x", "y"], rows)
+        assert certificate.multipliers == (1, 0, 1, 1)
+
+    def test_non_unit_pivot(self):
+        # 2x + 3y = 1 pivots on x, the least |coefficient|; y = 0 gives x = 1/2
+        result = self._answer(["x", "y"], [((2, 3), EQ, 1), ((0, -1), LE, 0)])
+        assert result == Feasible((Fraction(1, 2), Fraction(0)))
+
+    def test_strict_row_rewritten(self):
+        # x = 1 - y turns x - y < 1 into -2y < 0: y > 0, so y = 1 and x = 0
+        rows = [((1, 1), EQ, 1), ((1, -1), LT, 1)]
+        assert self._answer(["x", "y"], rows) == Feasible((Fraction(0), Fraction(1)))
+        # with y <= 0 the rewritten strict row is the contradiction 0 < 0
+        certificate = self._answer(["x", "y"], rows + [((0, 1), LE, 0)])
+        assert certificate == FarkasCertificate(
+            (Fraction(-1, 2), Fraction(1, 2), Fraction(1)), frozenset({1})
+        )
+
+    def test_every_variable_a_pivot(self, monkeypatch):
+        # x + y = 3 and x - y = 1 fix both variables, and x >= 0 rewrites to
+        # 0 <= 2: no stage eliminates a variable
+        built = _count_combines(monkeypatch)
+        rows = [((1, 1), EQ, 3), ((1, -1), EQ, 1), ((-1, 0), LE, 0)]
+        assert self._answer(["x", "y"], rows) == Feasible((Fraction(2), Fraction(1)))
+        # x >= 3 rewrites to 0 <= -1, a row that is itself the contradiction
+        rows[2] = ((-1, 0), LE, -3)
+        certificate = self._answer(["x", "y"], rows)
+        assert certificate.multipliers == (Fraction(1, 2), Fraction(1, 2), 1)
+        assert built == []
+
+    def test_equality_heavy_sweep_against_the_simplex(self):
+        # the reference now substitutes as the package does; the exact simplex
+        # is the independent answer
+        rng = random.Random(20261020)
+        outcomes = {True: 0, False: 0}
+        for trial in range(600):
+            forced = trial % 2 == 0
+            system = _equality_heavy_system(rng, force_feasible=forced)
+            result = prove_infeasible(system)
+            feasible = isinstance(result, Feasible)
+            if feasible:
+                assert system.holds_at(result.witness)
+            else:
+                assert check_certificate(system, result)
+            assert feasible == _lp_feasibility_probe(system), f"trial {trial}"
+            assert feasible or not forced, f"trial {trial}"
+            outcomes[feasible] += 1
+        assert outcomes[True] >= 300 and outcomes[False] >= 100
+
+
 class TestStrictBoundaries:
     def test_point_against_strict(self):
         system = _system(["x"], [((-1,), LE, 0), ((1,), LT, 0)])  # x >= 0, x < 0
@@ -325,11 +434,13 @@ class TestAgainstReference:
         assert result == FarkasCertificate((Fraction(1),) * 4, frozenset())
         assert result == reference_fme.prove_infeasible(system)
 
-    def test_certify_pool_slow_system(self):
+    def test_certify_pool_slow_system(self, monkeypatch):
         # The 7th system of the certify workload's pool, as that workload
         # relabels it: forced feasible, 6 variables and 11 rows, of which
-        # three are equalities.  The stages test thousands of pairs and keep
-        # only about one in eight.
+        # three are equalities.  Split into two inequalities each, the
+        # equalities made the stages build 557 rows; substituted out, they
+        # leave 8 inequalities in 3 variables, and the stages build 34.
+        built = _count_combines(monkeypatch)
         rows = [
             ((3, -2, 2, -2, 2, 2), LE, Fraction(-40, 3)),
             ((2, 0, -3, 1, 0, 3), LE, Fraction(9, 2)),
@@ -347,6 +458,8 @@ class TestAgainstReference:
         result = prove_infeasible(system)
         assert isinstance(result, Feasible)
         assert result == reference_fme.prove_infeasible(system)
+        assert built  # the stage loop builds every kept pair through _combine
+        assert len(built) < 60
 
 
 class TestBackSubstitutionTies:
@@ -412,7 +525,10 @@ class TestChernikovBound:
     path) alongside the pruning of parallel rows, it dropped a needed row of
     each system of the first test, and back-substitution met an empty
     interval.  Counted over every eliminated variable, it kept millions of
-    redundant rows of the system of the last test.
+    redundant rows of the system of test_a_rare_variable_does_not_widen_the_bound
+    while that system's equality was split into two inequalities.  A row
+    that the equality substitution rewrote counts the variables of its
+    rewritten coefficients.
     """
 
     @pytest.mark.parametrize("seed, trial", [(3, 199), (4, 6), (4, 187)])
@@ -432,9 +548,11 @@ class TestChernikovBound:
                     assert isinstance(result, Feasible), f"seed {seed} trial {trial}"
 
     def test_a_rare_variable_does_not_widen_the_bound(self, monkeypatch):
-        # v5 occurs in 5 of the 16 rows and is eliminated first.  Counting it
-        # for rows whose constraints lack it builds 3.2 million rows; counting
-        # only the variables the constraints contain builds under a thousand.
+        # v5 occurs in 5 of the 15 inequalities left once the equality is
+        # substituted out, and is eliminated first.  Counting it for rows
+        # whose constraints lack it builds 2459 rows (3.2 million while the
+        # equality was split into two inequalities); counting only the
+        # variables the constraints contain builds 442.
         rows = [
             ((1, 1, 0, 3, 2, 1, -2), LE, Fraction(47, 6)),
             ((-3, 3, -2, -2, 2, 0, -2), LT, Fraction(-62, 3)),
@@ -454,16 +572,7 @@ class TestChernikovBound:
             ((1, 3, 2, 1, 1, 0, -1), LT, Fraction(-1, 3)),
         ]
         system = _system([f"v{i}" for i in range(7)], rows)
-        built = []
-        combine = fme._combine
-
-        def counting(*args):
-            row = combine(*args)
-            if row is not None:
-                built.append(row)
-            return row
-
-        monkeypatch.setattr(fme, "_combine", counting)
+        built = _count_combines(monkeypatch)
         result = prove_infeasible(system)
         assert isinstance(result, Feasible) and _lp_feasibility_probe(system)
         assert built  # the stage loop builds every kept pair through _combine

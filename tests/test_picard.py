@@ -24,6 +24,7 @@ from dp1alpha.picard import (
     pairing,
     parse_class,
 )
+from dp1alpha.rationals import clear
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +238,7 @@ _HASHED = [
 
 
 class TestCachedHash:
-    """The hash is stored on first use; it stays the hash of the Fraction coordinates."""
+    """The hash and the cleared row are stored on first use, and equal the uncached values."""
 
     @pytest.mark.parametrize("coeffs", _HASHED)
     def test_hash_of_the_fraction_tuple(self, coeffs):
@@ -263,12 +264,25 @@ class TestCachedHash:
                 with pytest.raises(AttributeError):
                     twin.coeffs = ()  # type: ignore[misc]
 
+    @pytest.mark.parametrize("coeffs", _HASHED)
+    def test_cleared_row_is_stored(self, coeffs):
+        import copy
+        import pickle
+
+        v = PicardClass(coeffs)
+        expected = clear(v.coeffs)
+        assert v.cleared() == expected
+        assert v.cleared() is v.cleared()  # the stored value
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert twin.cleared() == expected
+
     def test_slots_cannot_be_set(self):
         v = PicardClass(_HASHED[2])
         for hashed_first in (False, True):
             if hashed_first:
                 hash(v)
-            for name in ("coeffs", "_hash"):
+                v.cleared()
+            for name in ("coeffs", "_hash", "_cleared"):
                 with pytest.raises(AttributeError):
                     setattr(v, name, 0)
             with pytest.raises(AttributeError):
