@@ -15,9 +15,9 @@ pairs least with H and H - e1 among their orbits, and with e8 among the
 of `picard._reflect`, the ones that build the two curve families there.
 Ampleness, pseudo-effectivity and mu are read off that chamber
 representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
-checked against the 240 classes, and by the recomposition of K + mu*A that
-`classify` validates.  The boundary face is certified by a nef class that
-vanishes on exactly its generators.
+checked against the 240 classes.  `_validate_profile` certifies the
+profile `classify` returns, type included, and a nef class that vanishes
+on exactly its generators certifies the boundary face.
 
 The scans over the 240 (-1)-classes (the nef-ray check, the negative part
 of K + mu*A, the conic's pairings and the orthogonality masks) are one
@@ -52,7 +52,6 @@ from .picard import (
     enumerate_minus_one_classes,
     format_class,
 )
-from .rationals import clear
 
 if TYPE_CHECKING:
     from .linprog import LPProblem, LPResult
@@ -87,7 +86,7 @@ class PolarizationProfile:
     conic: PicardClass | None
 
 
-_K_ROW = clear(canonical_class().coeffs)[1]
+_K_ROW = canonical_class().cleared()[1]
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +239,7 @@ def is_pseudoeffective(v: PicardClass) -> bool:
     dominant member of each orbit, so v is effective iff its chamber
     representative d'H - sum(m'_i e_i) has d' >= 0 and d' - m'_1 >= 0.
     """
-    _, (d, minus_m1, *_) = _chamber(clear(v.coeffs)[1])
+    _, (d, minus_m1, *_) = _chamber(v.cleared()[1])
     return d >= 0 and d + minus_m1 >= 0
 
 
@@ -256,7 +255,7 @@ def is_ample(v: PicardClass) -> bool:
     is ample iff its chamber representative d'H - sum(m'_i e_i) (see
     `_chamber`) has m'_8 > 0: the chamber row's last coordinate is -m'_8.
     """
-    return _chamber(clear(v.coeffs)[1])[1][-1] < 0
+    return _chamber(v.cleared()[1])[1][-1] < 0
 
 
 _H_RAY = (1, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -276,7 +275,7 @@ def mu_threshold(A: PicardClass) -> Fraction:
     effective for t < mu.  A class with m'_8 <= 0 is refused: that is
     `is_ample`'s test, read off the same reduction.
     """
-    denom, row = clear(A.coeffs)
+    denom, row = A.cleared()
     word, (d, minus_m1, *_, minus_m8) = _chamber(row)
     if minus_m8 >= 0:
         raise ValueError("mu_threshold requires an ample class")
@@ -313,8 +312,9 @@ def _boundary_split(
       contracting N, is nef and vanishes on D; L.E = 1 + sum(E'.E for E'
       in N) >= 1 for every generator E outside N.
     - R = s*delta*C: the face is {E : E.C = 0}, the 14 components of the
-      seven reducible fibres.  C.D = 0 with C nef keeps every other
-      generator out, and C = p + q on each fibre puts both p and q in.
+      seven reducible fibres.  C.D = 0 with C nef (`_validate_profile`
+      certifies C) keeps every other generator out, and C = p + q on each
+      fibre puts both p and q in.
     """
     rows = enumerate_minus_one_classes().rows
     negative = [(j, -p) for j, p in _negative_pairings(w)]
@@ -333,12 +333,7 @@ def _boundary_split(
     conic = tuple(2 * r // twice_delta for r in residual)
     if dot(conic, conic):
         raise UnclassifiableError("residual class has nonzero square")
-    if _negative_pairings(conic):
-        raise UnclassifiableError("residual conic class is not nef")
-    face = set(_zero_pairings(conic))
-    if any(j not in face for j, _ in negative):
-        raise UnclassifiableError("negative part is not vertical for the fiber class")
-    return negative, twice_delta, conic, face
+    return negative, twice_delta, conic, set(_zero_pairings(conic))
 
 
 @lru_cache(maxsize=None)
@@ -347,27 +342,28 @@ def _orthogonal_mask(j: int) -> int:
     return sum(1 << k for k in _zero_pairings(enumerate_minus_one_classes().rows[j]))
 
 
-def _extend_to_disjoint_eight(chosen: list[int]) -> list[int] | None:
-    """Extend pairwise-orthogonal (-1)-classes, by index, to 8, lex-smallest, by backtracking."""
+def _extend_to_disjoint_eight(chosen: list[int]) -> list[int]:
+    """Extend disjoint (-1)-classes, by index, to eight: the lex-smallest extension.
 
-    def rec(current: list[int], candidates: int, start: int) -> list[int] | None:
-        if len(chosen) + len(current) == 8:
-            return current
-        pending = candidates >> start << start
-        while pending:
-            low = pending & -pending
-            idx = low.bit_length() - 1
-            found = rec(current + [idx], candidates & _orthogonal_mask(idx), idx + 1)
-            if found is not None:
-                return found
-            pending ^= low
-        return None
-
+    Each pick is the lowest class orthogonal to all so far that leaves one
+    for the next.  W(E8) moves any six or fewer disjoint (-1)-classes to
+    e8, e7, ... (it is transitive on the lines of degrees 2 to 6; Manin,
+    *Cubic Forms*, sections 23 and 26), so they extend: only the seventh
+    pick can be refused, and the scan finds what backtracking in ascending
+    order would.  Seven classes with no eighth come back as they are.
+    """
     candidates = (1 << len(enumerate_minus_one_classes())) - 1
     for j in chosen:
         candidates &= _orthogonal_mask(j)
-    found = rec([], candidates, 0)
-    return None if found is None else list(chosen) + found
+    extended, pending = list(chosen), candidates
+    while pending and len(extended) < 8:
+        idx = (pending & -pending).bit_length() - 1
+        pending &= pending - 1
+        room = candidates & _orthogonal_mask(idx)
+        if room or len(extended) == 7:
+            extended.append(idx)
+            candidates = pending = room
+    return extended
 
 
 def _complement_is_even(seven: list[int]) -> bool:
@@ -379,14 +375,14 @@ def _complement_is_even(seven: list[int]) -> bool:
     characteristic for L.  A unimodular lattice is even exactly when its
     characteristic vectors lie in 2L (Milnor-Husemoller), and L is
     primitive, so L is even exactly when every coordinate of w is even.
-    A repeated index fails the premise, since E.E = -1.
+    The premise is seven distinct indices with (sum E_i)^2 = -7: distinct
+    (-1)-classes pair to 0, 1, 2 or 3, so that says they are disjoint.
     """
     all_rows = enumerate_minus_one_classes().rows
-    rows = [all_rows[j] for j in seven]
-    if len(rows) != 7 or any(dot(u, v) for i, u in enumerate(rows) for v in rows[i + 1 :]):
+    span = [sum(col) for col in zip(*(all_rows[j] for j in seven))]
+    if len(set(seven)) != 7 or dot(span, span) != -7:
         raise UnclassifiableError("parity test needs seven disjoint (-1)-classes")
-    w = [k - sum(col) for k, col in zip(_K_ROW, zip(*rows))]
-    return all(c % 2 == 0 for c in w)
+    return all((k - c) % 2 == 0 for k, c in zip(_K_ROW, span))
 
 
 def _orthogonal_conic(seven: list[int]) -> tuple[int, ...]:
@@ -407,18 +403,20 @@ def _integral_row(e: PicardClass) -> tuple[int, ...]:
     return row
 
 
-def _validate_profile(profile: PolarizationProfile, denom: int, row: tuple[int, ...]) -> None:
-    """Check the profile of A = row/denom; raise UnclassifiableError on the first field that fails.
+def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
+    """Certify the profile of A; raise UnclassifiableError on the first fact that fails.
 
     a is non-empty, descending, non-negative with a_0 < 1, delta >= 0 (0
-    without a conic), and has one entry per basis class.  The basis holds
-    distinct (-1)-classes E_i (E_i^2 = K.E_i = -1) with (sum E_i)^2 = -k
-    for k of them: distinct (-1)-classes pair to 0, 1, 2 or 3, so that says
-    they are pairwise orthogonal.  A conic C has C^2 = 0 and K.C = -2, so it is one of the
-    2160 conic classes, which pair non-negatively with every (-1)-class,
-    and C.sum(E_i) = 0 says it is orthogonal to each.  Finally
-    K + mu*A = sum(a_i * E_i) + delta*C holds in integers over one common
-    denominator of a, delta, mu and A.
+    without a conic), and has one entry per basis class: eight for P2,
+    which has no conic, and seven for F1 and P1xP1, which have one.  The
+    basis holds distinct (-1)-classes E_i (E_i^2 = K.E_i = -1) with
+    (sum E_i)^2 = -k for k of them: distinct (-1)-classes pair to 0, 1, 2
+    or 3, so they are pairwise orthogonal.  The type is P1xP1 exactly when
+    K - sum(E_i) is even, read off this sum and not `_complement_is_even`.
+    A conic C has C^2 = 0 and K.C = -2, so it is one of the 2160 conics,
+    which are nef, and C.sum(E_i) = 0 puts every E_i on its face
+    {E : E.C = 0}.  Finally K + mu*A = sum(a_i * E_i) + delta*C holds in
+    integers over one common denominator of a, delta, mu and A.
     """
     a = profile.a
     if not a or not a[0] < 1:
@@ -430,6 +428,11 @@ def _validate_profile(profile: PolarizationProfile, denom: int, row: tuple[int, 
         raise UnclassifiableError("negative coefficient in decomposition")
     if len(profile.basis) != len(a):
         raise UnclassifiableError("basis and coefficients differ in length")
+    tag = profile.type_tag
+    if tag not in (P2, F1, P1XP1) or len(a) != (8 if tag == P2 else 7):
+        raise UnclassifiableError(f"type {tag} with {len(a)} basis classes")
+    if (profile.conic is None) is not (tag == P2):
+        raise UnclassifiableError(f"type {tag} {'with' if tag == P2 else 'without'} a conic")
     basis = []
     for e in profile.basis:
         e_row = _integral_row(e)
@@ -443,6 +446,9 @@ def _validate_profile(profile: PolarizationProfile, denom: int, row: tuple[int, 
         raise UnclassifiableError("basis classes are not pairwise orthogonal")
     terms = list(zip(a, basis))
     if profile.conic is not None:
+        even = all((k - c) % 2 == 0 for k, c in zip(_K_ROW, span))
+        if even is not (tag == P1XP1):
+            raise UnclassifiableError(f"type {tag} with an {'even' if even else 'odd'} complement")
         conic = _integral_row(profile.conic)
         if dot(conic, conic) or dot(_K_ROW, conic) != -2:
             raise UnclassifiableError(f"{format_class(profile.conic)} is not a conic class")
@@ -451,7 +457,7 @@ def _validate_profile(profile: PolarizationProfile, denom: int, row: tuple[int, 
         terms.append((profile.delta, conic))
     elif profile.delta:
         raise UnclassifiableError("nonzero delta without a conic")
-    mu = profile.mu
+    mu, (denom, row) = profile.mu, A.cleared()
     den = denom * mu.denominator  # mu*A = num(mu)*row/den
     scale = lcm(den, *(c.denominator for c, _ in terms))
     step = scale // den * mu.numerator
@@ -470,12 +476,12 @@ def classify(A: PicardClass) -> PolarizationProfile:
     The boundary split gives D = K + mu*A = sum(a_E * E) + delta*C.  With a
     conic C, N holds at most one component p or q = C - p of each of the
     seven reducible fibres (D.p + D.q = D.C = 0); a fibre without one adds
-    its lex-smaller component with coefficient 0.  Without C, a face that
-    extends to eight disjoint classes is P2, padded with the extension, and
-    a seven-class face takes the first conic orthogonal to it.  The other
-    shapes are F1 when a section (a (-1)-class orthogonal to the seven)
-    exists and P1xP1 when none does; the parity of their complement must
-    say the same.
+    its lex-smaller component with coefficient 0.  One rule gives the
+    type: P1xP1 if the basis has seven classes and every coordinate of
+    K - sum(E_i) is even (`_complement_is_even`), and then a face without
+    a conic takes the first conic orthogonal to it; otherwise F1 with a
+    conic, and P2 without one, padded to eight disjoint classes with
+    coefficient 0.  `_validate_profile` certifies the profile, type included.
 
     A is reduced to the W(E8) chamber once, inside `mu_threshold`.  The rest
     works on (-1)-classes by their indices in enumeration order, which is
@@ -487,17 +493,13 @@ def classify(A: PicardClass) -> PolarizationProfile:
         mu = mu_threshold(A)
     except ValueError:
         raise ValueError("classify requires an ample class") from None
-    den, row = clear(A.coeffs)
+    den, row = A.cleared()
     s = mu.denominator * den
     chosen, twice_delta, conic, face = _boundary_split(
         tuple(s * k + mu.numerator * x for k, x in zip(_K_ROW, row))
     )
     curves = enumerate_minus_one_classes()
     if conic is not None:
-        if len(face) != 14:
-            raise UnclassifiableError(
-                f"fiber class has {len(face)} reducible-member components, expected 14"
-            )
         in_negative = {curves.rows[j] for j, _ in chosen}
         for j in sorted(face):
             p = curves.rows[j]
@@ -505,18 +507,15 @@ def classify(A: PicardClass) -> PolarizationProfile:
             if p < q and p not in in_negative and q not in in_negative:
                 chosen.append((j, 0))
     selected = [j for j, _ in chosen]
-    extended = _extend_to_disjoint_eight(selected)
-    if conic is None and extended is not None:
-        type_tag = P2
-        chosen += [(j, 0) for j in extended[len(selected) :]]
-    else:
-        even = _complement_is_even(selected)  # raises unless seven disjoint (-1)-classes
-        has_section = extended is not None
+    if (conic is not None or len(selected) == 7) and _complement_is_even(selected):
+        type_tag = P1XP1
         if conic is None:
             conic = _orthogonal_conic(selected)
-        if has_section == even:
-            raise UnclassifiableError("section search disagrees with the lattice parity test")
-        type_tag = F1 if has_section else P1XP1
+    elif conic is not None:
+        type_tag = F1
+    else:  # an odd complement holds an eighth class
+        type_tag = P2
+        chosen += [(j, 0) for j in _extend_to_disjoint_eight(selected)[len(selected) :]]
     chosen.sort(key=lambda item: (-item[1], item[0]))
     a = tuple(Fraction(c, s) for _, c in chosen)
     profile = PolarizationProfile(
@@ -529,5 +528,5 @@ def classify(A: PicardClass) -> PolarizationProfile:
         basis=tuple(curves.members[j] for j, _ in chosen),
         conic=None if conic is None else PicardClass(conic),
     )
-    _validate_profile(profile, den, row)
+    _validate_profile(profile, A)
     return profile

@@ -184,10 +184,10 @@ def _initial_rows(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, lis
     Without an equality each row is its constraint in lowest terms and there
     is no stage; otherwise _substitute rewrites the rows.
     """
+    if any(rel == EQ for _, rel, _ in system.constraints):
+        return _substitute(system)
     rows: list[_Row] = []
     for index, (coeffs, rel, rhs) in enumerate(system.constraints):
-        if rel == EQ:
-            return _substitute(system)
         scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
         bit = 1 << index
         variables = sum(1 << j for j, c in enumerate(ints) if c)

@@ -75,7 +75,8 @@ class PicardClass:
         """`rationals.clear(coeffs)`: the least common denominator and the integer row.
 
         Computed once, like the hash: `cone._validate_profile` reads the
-        rows of the same cached (-1)-class members on every `classify`.
+        rows of the same cached (-1)-class members on every `classify`, and
+        `cone` clears each class it is given once.
         """
         try:
             return self._cleared

@@ -114,15 +114,17 @@ def criterion_10_draws(seed: int, count: int = 75) -> list[str]:
 
 # Classes whose classify takes the branches criterion 10's draws miss: a
 # seven-class face with an even complement (P1xP1 with the first orthogonal
-# conic), one with an odd complement (P2, padded to eight), and the
-# conic-bundle classes whose fibres carry coefficient 0 (test_cone).
+# conic), one with an odd complement (P2, padded to eight), the
+# conic-bundle classes whose fibres carry coefficient 0 (test_cone), and
+# -K and -K + (e1 + ... + ek)/3 for k = 2..7: P2 with k nonzero
+# coefficients, which pad 8 - k classes.
 BRANCHES = [
     "19/5,-9/5,-4/5,-7/10,-3/5,-1/2,-2/5,-3/10,-9/5",
     "3,-1,-9/10,-17/20,-4/5,-3/4,-7/10,-13/20,-3/5",
     "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",
     "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",
     "9,-2,-5/2,-11/3,-1,-2,-4,-8/3,-3",
-]
+] + [",".join(["3"] + ["-2/3"] * k + ["-1"] * (8 - k)) for k in (0, 2, 3, 4, 5, 6, 7)]
 
 
 def _scaled(text: str, factor: Fraction) -> str:

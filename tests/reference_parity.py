@@ -1,15 +1,24 @@
-"""Reference oracle: parity of the lattice orthogonal to seven disjoint (-1)-classes.
+"""Reference oracles: the parity of the lattice orthogonal to seven disjoint
+(-1)-classes, and the backtracking search for disjoint (-1)-classes.
 
 The complement is computed as a Z-basis by unimodular column reduction, and
 its parity read off the diagonal of the Gram matrix.
 ``dp1alpha.cone._complement_is_even`` decides the same parity from the
 coordinates of K - sum(E_i) instead; this is the independent check it is
 tested against.
+
+`extend_to_disjoint_eight` extends disjoint (-1)-classes to eight by a
+backtracking search in ascending order, with orthogonality from the plain
+form.  ``dp1alpha.cone._extend_to_disjoint_eight`` finds the same extension
+by one greedy scan; a seven-class face is F1 exactly when this search finds
+an eighth class (a section).
 """
 
 from __future__ import annotations
 
-from dp1alpha.picard import PicardClass, pairing
+from functools import lru_cache
+
+from dp1alpha.picard import PicardClass, enumerate_minus_one_classes, pairing
 
 
 def _integer_kernel_basis(constraints: list[PicardClass]) -> list[tuple[int, ...]]:
@@ -75,3 +84,38 @@ def complement_is_even(seven: list[PicardClass]) -> bool:
     # a rank-2 form with integral cross terms is even iff both diagonal
     # squares are even
     return all(pairing(PicardClass(v), PicardClass(v)) % 2 == 0 for v in kernel)
+
+
+@lru_cache(maxsize=None)
+def orthogonal_sets() -> tuple[frozenset[int], ...]:
+    """For each (-1)-class, by enumeration index, the indices of the classes orthogonal to it."""
+    rows = enumerate_minus_one_classes().rows
+
+    def form(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
+
+    return tuple(frozenset(k for k, v in enumerate(rows) if form(u, v) == 0) for u in rows)
+
+
+def extend_to_disjoint_eight(chosen: list[int]) -> list[int] | None:
+    """chosen plus the lex-smallest ascending list of classes that makes eight disjoint ones.
+
+    A depth-first search over the candidates in ascending order; None when
+    no extension exists.
+    """
+    orthogonal = orthogonal_sets()
+
+    def search(current: list[int], candidates: frozenset[int]) -> list[int] | None:
+        if len(current) == 8:
+            return current
+        for idx in sorted(candidates):
+            later = frozenset(k for k in candidates & orthogonal[idx] if k > idx)
+            found = search(current + [idx], later)
+            if found is not None:
+                return found
+        return None
+
+    candidates = frozenset(range(len(orthogonal)))
+    for j in chosen:
+        candidates &= orthogonal[j]
+    return search(list(chosen), candidates)

@@ -8,11 +8,11 @@ its orbit, so the dominant rows with d' <= 12 list the ample orbits of
 degree at most 12: 754 of them.  Each is checked against oracles that do not
 call `classify`'s code: the 240-class ampleness scan, a nef class that
 certifies mu and the face, the recomposition in Fractions, the unimodular
-parity oracle and, up to d' = 9, the LP face oracle.  W(E8) images and the
-Bertini image must keep mu, a, delta and s_A and move the face onto the
-face; the type is compared only where no coefficient is 0, since the type
-of a fibre with coefficient 0 depends on the labelling (the strict xfail
-in test_cone).
+parity oracle, the backtracking section search and, up to d' = 9, the LP
+face oracle.  W(E8) images and the Bertini image must keep mu, a, delta and
+s_A, move the face onto the face, and pad P2 as the search does; the type
+is compared only where no coefficient is 0, since the type of a fibre with
+coefficient 0 depends on the labelling (the strict xfail in test_cone).
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dp1alpha.cone import P1XP1, P2, PolarizationProfile, classify, is_ample
+from dp1alpha.cone import (
+    F1,
+    P1XP1,
+    P2,
+    PolarizationProfile,
+    _extend_to_disjoint_eight,
+    classify,
+    is_ample,
+)
 from dp1alpha.picard import (
     PicardClass,
     canonical_class,
@@ -35,6 +43,7 @@ from dp1alpha.picard import (
 from reference_ample import is_ample as reference_is_ample
 from reference_face import _face_of
 from reference_parity import complement_is_even as reference_complement_is_even
+from reference_parity import extend_to_disjoint_eight as reference_extend
 
 K = canonical_class()
 _K_ROW = (-3, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -64,6 +73,21 @@ def _form(u, v):
 def _row(v: PicardClass) -> tuple[int, ...]:
     assert all(c.denominator == 1 for c in v.coeffs)
     return tuple(int(c) for c in v.coeffs)
+
+
+def _against_the_section_search(profile: PolarizationProfile) -> None:
+    """P2 pads its nonzero members as the backtracking search does; F1 has an eighth class."""
+    index = {row: j for j, row in enumerate(enumerate_minus_one_classes().rows)}
+    members = [index[_row(e)] for e in profile.basis]
+    if profile.type_tag == P2:
+        nonzero = [j for j, c in zip(members, profile.a) if c]
+        extended = reference_extend(nonzero)
+        assert _extend_to_disjoint_eight(nonzero) == extended
+        assert sorted(extended[len(nonzero) :]) == sorted(
+            j for j, c in zip(members, profile.a) if not c
+        )
+    else:
+        assert (reference_extend(members) is not None) is (profile.type_tag == F1)
 
 
 def _nef_witness(profile: PolarizationProfile) -> tuple[int, ...]:
@@ -139,7 +163,7 @@ def test_recomposition_and_certificates():
         assert _form(witness, D.coeffs) == 0 and _form(witness, A.coeffs) > 0
         face = {e for e, p in zip(minus_one.members, pairings) if p == 0}
         assert face == profile.face_generators
-    assert types == {P2, "F1", P1XP1}
+    assert types == {P2, F1, P1XP1}
 
 
 def test_type_against_the_parity_oracle():
@@ -148,6 +172,11 @@ def test_type_against_the_parity_oracle():
             assert reference_complement_is_even(list(profile.basis)) is (
                 profile.type_tag == P1XP1
             )
+
+
+def test_type_and_padding_against_the_section_search():
+    for _, profile in _atlas():
+        _against_the_section_search(profile)
 
 
 def test_face_against_the_lp_oracle():
@@ -183,6 +212,7 @@ def test_weyl_and_bertini_images(seed):
         assert {_row(e) for e in profile.face_generators} == {
             g(_row(e)) for e in base.face_generators
         }
+        _against_the_section_search(profile)
         if all(base.a):
             assert profile.type_tag == base.type_tag
             typed += 1

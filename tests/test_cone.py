@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,8 @@ from dp1alpha.picard import (
 from reference_ample import is_ample as reference_is_ample
 from reference_face import _face_of, minimal_face, minimal_face_by_generator
 from reference_parity import complement_is_even as reference_complement_is_even
+from reference_parity import extend_to_disjoint_eight as reference_extend
+from reference_parity import orthogonal_sets
 
 K = canonical_class()
 H = hyperplane_class()
@@ -353,13 +357,23 @@ class TestClassify:
         assert profile.conic == H - E(1)
         _profile_checks(profile, 7)
 
-    def test_orthogonal_type_is_cross_checked(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # an even seven-class face does not pad to eight
+            (None, "type P2 with 7 basis classes"),
+            # e2..e8 leave span{H, e1}, odd, which H - e1 does not make P1xP1
+            ("3,-1,-9/10,-17/20,-4/5,-3/4,-7/10,-13/20,-3/5", "type P1xP1 with an odd complement"),
+        ],
+    )
+    def test_orthogonal_type_is_cross_checked(self, monkeypatch, text, message):
         # on the seven-class face without a conic, a parity test that answers
         # wrongly must make classify fail, not call the face P2 or P1xP1
+        a = _even_complement_class() if text is None else parse_class(text)
         real = cone._complement_is_even
         monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
-        with pytest.raises(UnclassifiableError):
-            classify(_even_complement_class())
+        with pytest.raises(UnclassifiableError, match=re.escape(message)):
+            classify(a)
 
     def test_seven_with_odd_complement_is_still_p2(self):
         # {e2..e8} leaves span{H, e1}, which is odd: an eighth disjoint
@@ -451,27 +465,19 @@ class TestClassify:
         assert profile.conic == parse_class(conic)
         _profile_checks(profile, 7)
 
-    @pytest.mark.parametrize("flipped", ["_complement_is_even", "_extend_to_disjoint_eight"])
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",  # P1xP1
-            "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",  # F1
+            ("12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2", "type F1 with an even complement"),
+            ("12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2", "type P1xP1 with an odd complement"),
         ],
     )
-    def test_conic_bundle_type_is_cross_checked(self, monkeypatch, flipped, text):
-        # a section search or parity test that answers wrongly must make
-        # classify fail, not pick the other type
-        real = getattr(cone, flipped)
-        if flipped == "_complement_is_even":
-            monkeypatch.setattr(cone, flipped, lambda seven: not real(seven))
-        else:
-            monkeypatch.setattr(
-                cone,
-                flipped,
-                lambda chosen: list(chosen) + [0] if real(chosen) is None else None,
-            )
-        with pytest.raises(UnclassifiableError):
+    def test_conic_bundle_type_is_cross_checked(self, monkeypatch, text, message):
+        # a parity test that answers wrongly must make classify fail, not
+        # pick the other type: _validate_profile reads the parity itself
+        real = cone._complement_is_even
+        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        with pytest.raises(UnclassifiableError, match=message):
             classify(parse_class(text))
 
     def test_mu_scaling_leaves_profile_data_fixed(self):
@@ -581,7 +587,7 @@ class TestBoundaryFace:
         # -K pairs positively with every generator, and -K itself is no
         # multiple of a conic class
         with pytest.raises(UnclassifiableError):
-            cone._boundary_split(cone.clear((-K).coeffs)[1])
+            cone._boundary_split((-K).cleared()[1])
 
 
 def _permuted(v: PicardClass, perm: list[int]) -> PicardClass:
@@ -758,6 +764,8 @@ class TestComplementParity:
             [E(i) for i in range(2, 9)] + [E(1)],  # eight classes
             [E(i) for i in range(2, 8)] + [H - E(1) - E(2)],  # meets e2
             [E(i) for i in range(2, 8)] + [E(2)],  # e2 twice: E.E = -1
+            # e2 twice and a class meeting e3 once: (sum E)^2 = -7 all the same
+            [E(2), E(2), E(3), E(4), E(5), E(6), H - E(3) - E(7)],
         ],
     )
     def test_rejects_a_broken_premise(self, classes):
@@ -795,8 +803,64 @@ class TestComplementParity:
             found_odd += not even
 
 
+def _random_disjoint_indices(rng: random.Random, k: int) -> list[int]:
+    """k disjoint (-1)-classes by index, each drawn among those orthogonal to the ones before."""
+    orthogonal = orthogonal_sets()
+    candidates, chosen = set(range(len(orthogonal))), []
+    for _ in range(k):
+        j = rng.choice(sorted(candidates))
+        chosen.append(j)
+        candidates &= orthogonal[j]
+    return chosen
+
+
+def _lowest_picks(chosen: list[int]) -> list[int]:
+    """chosen extended by the lowest orthogonal class at each step, without looking ahead."""
+    orthogonal = orthogonal_sets()
+    candidates = set(range(len(orthogonal))).intersection(*(orthogonal[j] for j in chosen))
+    extended = list(chosen)
+    while len(extended) < 8 and candidates:
+        extended.append(min(candidates))
+        candidates &= orthogonal[extended[-1]]
+    return extended
+
+
+class TestPadding:
+    """The greedy scan of `_extend_to_disjoint_eight` against the backtracking search."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_equals_backtracking_on_random_disjoint_sets(self, k):
+        rng = random.Random(100 + k)
+        rejected = unextendable = 0
+        for _ in range(400):
+            chosen = _random_disjoint_indices(rng, k)
+            expected = reference_extend(chosen)
+            padded = cone._extend_to_disjoint_eight(chosen)
+            if expected is None:
+                # only seven classes with an even complement have no eighth
+                assert k == 7 and padded == chosen
+                assert reference_complement_is_even(
+                    [enumerate_minus_one_classes().members[j] for j in chosen]
+                )
+                unextendable += 1
+            else:
+                assert padded == expected
+                # the lowest seventh pick left no eighth: the scan passed it over
+                rejected += len(_lowest_picks(chosen)) < 8
+        if k == 7:
+            assert 0 < unextendable < 400 and rejected == 0
+        elif k < 7:
+            assert unextendable == 0
+        if 1 <= k <= 6:  # k = 0 is -K's face, whose lowest picks extend
+            assert rejected > 0
+
+    def test_anticanonical_pads_with_the_lowest_disjoint_classes(self):
+        profile = classify(-K)
+        assert [_indices([e])[0] for e in profile.basis] == reference_extend([])
+
+
 def _word_and_chamber(v: PicardClass) -> tuple[list[int], list[int]]:
-    return cone._chamber(cone.clear(v.coeffs)[1])
+    return cone._chamber(v.cleared()[1])
 
 
 class TestChamber:
@@ -822,7 +886,7 @@ class TestChamber:
             word, chamber = _word_and_chamber(v)
             d, m = chamber[0], [-c for c in chamber[1:]]
             assert m == sorted(m, reverse=True) and d >= m[0] + m[1] + m[2]
-            denom = cone.clear(v.coeffs)[0]
+            denom = v.cleared()[0]
             assert _applied([simple_roots[i] for i in word], v) == PicardClass(
                 Fraction(c, denom) for c in chamber
             )
@@ -849,7 +913,7 @@ class TestChamber:
             a = -K + lam * E(8)
             assert mu_threshold(a) == 1 / (1 + 2 * lam)
             word, chamber = _word_and_chamber(a)
-            denom = cone.clear(a.coeffs)[0]
+            denom = a.cleared()[0]
             closed_form = (1 + 2 * lam) * -K - lam * E(8)
             assert PicardClass(Fraction(c, denom) for c in chamber) == closed_form
             words.add(tuple(word))
@@ -1034,10 +1098,6 @@ def _half_integral_mutants(profile: PolarizationProfile):
         )
 
 
-def _validate(profile: PolarizationProfile, a: PicardClass) -> None:
-    cone._validate_profile(profile, *cone.clear(a.coeffs))
-
-
 def _structure_mutants(profile: PolarizationProfile):
     """(index, message, profile): a basis or conic that breaks the structure.
 
@@ -1073,7 +1133,40 @@ def _structure_mutants(profile: PolarizationProfile):
 
 
 class TestValidateProfile:
-    """`_validate_profile` checks the basis and conic, and recomposes as strictly as Fractions."""
+    """`_validate_profile` checks type, basis and conic, and recomposes as Fractions would."""
+
+    @pytest.mark.parametrize(
+        "source, tag, message",
+        [
+            (P2, F1, "type F1 with 8 basis classes"),
+            (P2, P1XP1, "type P1xP1 with 8 basis classes"),
+            (P2, "F2", "type F2 with 8 basis classes"),
+            (F1, "F2", "type F2 with 7 basis classes"),
+            (F1, P2, "type P2 with 7 basis classes"),
+            (P1XP1, P2, "type P2 with 7 basis classes"),
+            (F1, P1XP1, "type P1xP1 with an odd complement"),
+            (P1XP1, F1, "type F1 with an even complement"),
+        ],
+    )
+    def test_type_must_fit_the_profile(self, source, tag, message):
+        a = parse_class(_VALIDATED[source])
+        relabelled = replace(classify(a), type_tag=tag)
+        _fraction_validate(relabelled, a)  # the decomposition alone still holds
+        with pytest.raises(UnclassifiableError, match=re.escape(message)):
+            cone._validate_profile(relabelled, a)
+
+    @pytest.mark.parametrize(
+        "source, conic, message",
+        [
+            (P2, H - E(1), "type P2 with a conic"),
+            (F1, None, "type F1 without a conic"),
+            (P1XP1, None, "type P1xP1 without a conic"),
+        ],
+    )
+    def test_conic_must_fit_the_type(self, source, conic, message):
+        a = parse_class(_VALIDATED[source])
+        with pytest.raises(UnclassifiableError, match=message):
+            cone._validate_profile(replace(classify(a), conic=conic), a)
 
     @pytest.mark.parametrize("type_tag", [P2, F1, P1XP1])
     def test_basis_and_conic_structure_is_checked(self, type_tag):
@@ -1081,11 +1174,11 @@ class TestValidateProfile:
         profile = classify(a)
         # members equal to the cached (-1)-classes, but not the same objects
         copies = tuple(PicardClass(e.coeffs) for e in profile.basis)
-        _validate(replace(profile, basis=copies), a)
+        cone._validate_profile(replace(profile, basis=copies), a)
         zero_members = 0
         for index, message, mutant in _structure_mutants(profile):
             with pytest.raises(UnclassifiableError, match=message):
-                _validate(mutant, a)
+                cone._validate_profile(mutant, a)
             if index is not None and not profile.a[index]:
                 _fraction_validate(mutant, a)  # the recomposition alone still holds
                 zero_members += 1
@@ -1097,12 +1190,12 @@ class TestValidateProfile:
         profile = classify(a)
         assert profile.type_tag == type_tag
         assert any(profile.a) and (profile.delta > 0) is (type_tag != P2)
-        _validate(profile, a)
+        cone._validate_profile(profile, a)
         _fraction_validate(profile, a)
         names = []
         for name, mutant in _mutants(profile):
             with pytest.raises(UnclassifiableError):
-                _validate(mutant, a)
+                cone._validate_profile(mutant, a)
             if name != "delta" or profile.conic is not None:
                 with pytest.raises(UnclassifiableError):
                     _fraction_validate(mutant, a)
@@ -1119,14 +1212,81 @@ class TestValidateProfile:
         for _, mutant in mutants:
             _fraction_validate(mutant, a)  # the identity still holds
             with pytest.raises(UnclassifiableError, match="not integral"):
-                _validate(mutant, a)
+                cone._validate_profile(mutant, a)
 
     def test_wide_denominators(self):
         # the common denominator passes 2^62, as in the CLI's wide cases
         for text in _VALIDATED.values():
             a = Fraction(10**20 + 1, 10**20) * parse_class(text)
             profile = classify(a)
-            _validate(profile, a)
+            cone._validate_profile(profile, a)
             for _, mutant in _mutants(profile):
                 with pytest.raises(UnclassifiableError):
-                    _validate(mutant, a)
+                    cone._validate_profile(mutant, a)
+
+
+def _corrupt_split(monkeypatch, change) -> None:
+    """Make `_boundary_split` return change(negative, twice_delta, conic, face) of its answer."""
+    real = cone._boundary_split
+    monkeypatch.setattr(cone, "_boundary_split", lambda w: change(*real(w)))
+
+
+class TestFactsCertifiedOnce:
+    """Facts that classify no longer checks in line, because `_validate_profile` certifies them.
+
+    Each test corrupts one of them on the F1 and P1xP1 profiles; classify
+    must still raise.
+    """
+
+    @pytest.mark.parametrize("type_tag", [F1, P1XP1])
+    def test_non_nef_residual(self, monkeypatch, type_tag):
+        def negated(negative, twice_delta, conic, face):
+            bad = tuple(-x for x in conic)
+            assert cone._negative_pairings(bad)
+            return negative, twice_delta, bad, face
+
+        _corrupt_split(monkeypatch, negated)
+        with pytest.raises(UnclassifiableError):
+            classify(parse_class(_VALIDATED[type_tag]))
+
+    @pytest.mark.parametrize("type_tag", [F1, P1XP1])
+    def test_negative_part_off_the_face(self, monkeypatch, type_tag):
+        rows = enumerate_minus_one_classes().rows
+
+        def meeting(negative, twice_delta, conic, face):
+            j = negative[0][0]
+            other = next(c for c in enumerate_conic_classes().rows if _plain_pairings(c)[j])
+            face = set(cone._zero_pairings(other))
+            assert j not in face and rows[j] not in enumerate_conic_classes().rows
+            return negative, twice_delta, other, face
+
+        _corrupt_split(monkeypatch, meeting)
+        with pytest.raises(UnclassifiableError):
+            classify(parse_class(_VALIDATED[type_tag]))
+
+    @pytest.mark.parametrize("type_tag", [F1, P1XP1])
+    def test_face_short_of_fourteen_components(self, monkeypatch, type_tag):
+        # a fibre with no member in the negative part is dropped from the
+        # face, so the basis falls one short of seven
+        rows = enumerate_minus_one_classes().rows
+
+        def short(negative, twice_delta, conic, face):
+            in_negative = {j for j, _ in negative}
+            fibres = {frozenset((j, rows.index(tuple(map(sub, conic, rows[j]))))) for j in face}
+            assert len(fibres) == 7
+            dropped = next(f for f in sorted(fibres, key=min) if not f & in_negative)
+            return negative, twice_delta, conic, face - dropped
+
+        _corrupt_split(monkeypatch, short)
+        with pytest.raises(UnclassifiableError):
+            classify(parse_class(_VALIDATED[type_tag]))
+
+    @pytest.mark.parametrize(
+        "type_tag, message",
+        [(F1, "type P1xP1 with an odd complement"), (P1XP1, "type F1 with an even complement")],
+    )
+    def test_parity_helper_that_answers_wrongly(self, monkeypatch, type_tag, message):
+        real = cone._complement_is_even
+        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        with pytest.raises(UnclassifiableError, match=message):
+            classify(parse_class(_VALIDATED[type_tag]))
