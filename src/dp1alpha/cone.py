@@ -16,8 +16,7 @@ of `picard._reflect`, the ones that build the two curve families there.
 Ampleness, pseudo-effectivity and mu are read off that chamber
 representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
 checked against the 240 classes.  `_validate_profile` certifies the
-profile `classify` returns, type included, and a nef class that vanishes
-on exactly its generators certifies the boundary face.
+profile `classify` returns, type and boundary face included.
 
 The scans over the 240 (-1)-classes (the nef-ray check, the negative part
 of K + mu*A, the conic's pairings and the orthogonality masks) are one
@@ -219,15 +218,26 @@ def _chamber(row: tuple[int, ...]) -> tuple[list[int], list[int]]:
     in order.  Each one pairs negatively with the current class, which
     removes one positive root from those the class pairs negatively with, so
     w has at most 120 letters.
+
+    Each sort is an insertion sort: it moves each m_i left past the smaller
+    ones before it, one swap at a time.  That is the swap sequence of
+    always swapping the first out-of-order pair, without rescanning from e1.
     """
     v = list(row)
     word: list[int] = []
-    while len(word) <= _LONGEST_WORD:
-        i = next((i for i in range(1, 8) if v[i] > v[i + 1]), 0)
-        if not i and v[0] + v[1] + v[2] + v[3] >= 0:
+    while True:
+        for k in range(2, 9):
+            i = k - 1
+            while i and v[i] > v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                word.append(i)
+                i -= 1
+        if len(word) > _LONGEST_WORD:
+            break
+        if v[0] + v[1] + v[2] + v[3] >= 0:
             return word, v
-        _reflect(v, i)
-        word.append(i)
+        _reflect(v, 0)
+        word.append(0)
     raise UnclassifiableError("Noether-Cremona reduction did not reach the chamber")
 
 
@@ -417,6 +427,15 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
     which are nef, and C.sum(E_i) = 0 puts every E_i on its face
     {E : E.C = 0}.  Finally K + mu*A = sum(a_i * E_i) + delta*C holds in
     integers over one common denominator of a, delta, mu and A.
+
+    The face rule is keyed on delta, not on the conic: a P1xP1 profile read
+    off a seven-class face carries a conic with delta = 0.  With delta > 0
+    the face is {E : E.C = 0}: fourteen distinct (-1)-classes, whose rows
+    are among the 240, with C.sum(E) = 0.  C is nef, so each E.C >= 0 and a
+    zero sum makes every term 0; a conic is orthogonal to exactly fourteen
+    (-1)-classes, the components of its seven reducible fibres, so these
+    are all of them.  With delta = 0 the face is N, the basis classes with
+    a > 0 (see `_boundary_split`).
     """
     a = profile.a
     if not a or not a[0] < 1:
@@ -457,6 +476,17 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
         terms.append((profile.delta, conic))
     elif profile.delta:
         raise UnclassifiableError("nonzero delta without a conic")
+    face = profile.face_generators
+    if profile.delta:
+        rows = [_integral_row(e) for e in face]
+        if (
+            len(rows) != 14
+            or not enumerate_minus_one_classes().row_set.issuperset(rows)
+            or dot(conic, [sum(column) for column in zip(*rows)])
+        ):
+            raise UnclassifiableError("face is not the 14 (-1)-classes orthogonal to the conic")
+    elif face != {e for c, e in zip(a, profile.basis) if c}:
+        raise UnclassifiableError("face is not the basis classes with a > 0")
     mu, (denom, row) = profile.mu, A.cleared()
     den = denom * mu.denominator  # mu*A = num(mu)*row/den
     scale = lcm(den, *(c.denominator for c, _ in terms))

@@ -21,7 +21,14 @@ their gcd); multipliers are rebuilt from the origins for the contradiction
 alone.  Back-substitution keeps integer numerators over one common
 denominator, and each bound on a variable as an integer pair (num, den)
 with den > 0, compared by cross-multiplication; only the two bounds that
-win become Fractions.
+win become Fractions.  Each system clears its constraints to integer rows
+once, on first use (`LinearSystem.cleared`), and every elimination starts
+from those rows.
+
+The answer is checked by code that shares nothing with the prover:
+`check_certificate` and `LinearSystem.holds_at` read the `Fraction`
+constraints and recombine or evaluate them in integers over a running
+common denominator.
 
 Redundant rows are dropped by Chernikov's rule in Kohler's counting form
 (Chernikov 1965; Kohler 1967; Imbert 1993), which holds for a system of
@@ -84,18 +91,53 @@ class LinearSystem:
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "constraints", tuple(rows))
 
+    def cleared(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """`rationals.clear((*coeffs, rhs))` of each constraint: its scale and its integer row.
+
+        Computed once, like `PicardClass.cleared()`: the prover starts every
+        elimination from these rows, and a lemma case proves the same system
+        on every call.
+        """
+        try:
+            return self._cleared
+        except AttributeError:
+            value = tuple(clear((*coeffs, rhs)) for coeffs, _, rhs in self.constraints)
+            object.__setattr__(self, "_cleared", value)
+            return value
+
     def holds_at(self, point: tuple[Fraction, ...]) -> bool:
-        """Exactly evaluate every constraint at a point."""
+        """Exactly evaluate every constraint at a point of ints or Fractions.
+
+        The point is brought over one common denominator, and each row's
+        value is summed over a running common denominator of its
+        coefficients, so every comparison is between integers.  It reads
+        the `Fraction` constraints, not the prover's rows.
+        """
         if len(point) != len(self.variables):
             raise ValueError("point width mismatch")
+        ratios = [x.as_integer_ratio() for x in point]
+        point_den = math.lcm(*(d for _, d in ratios))
+        xs = [n * (point_den // d) for n, d in ratios]
         for coeffs, rel, rhs in self.constraints:
-            value = sum((c * x for c, x in zip(coeffs, point) if c), Fraction(0))
+            value, denom = 0, 1  # value / (denom * point_den) is the row at the point
+            for c, x in zip(coeffs, xs):
+                n, d = c.as_integer_ratio()
+                if n:
+                    if denom % d:
+                        common = math.lcm(denom, d)
+                        value *= common // denom
+                        denom = common
+                    value += n * (denom // d) * x
+            n, d = rhs.as_integer_ratio()
+            common = math.lcm(denom, d)
+            value *= common // denom
+            bound = n * (common // d) * point_den
             if rel == LE:
-                ok = value <= rhs
+                ok = value <= bound
             elif rel == LT:
-                ok = value < rhs
+                ok = value < bound
             else:
-                ok = value == rhs
+                ok = value == bound
             if not ok:
                 return False
         return True
@@ -122,28 +164,40 @@ class Feasible:
 
 
 def check_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """Recombine the rows exactly; true iff a contradiction is produced."""
+    """Recombine the rows exactly; true iff a contradiction is produced.
+
+    The weighted rows are summed in integers over a running common
+    denominator of the products weight * entry.  It reads the `Fraction`
+    constraints, not the prover's rows.
+    """
     rows = system.constraints
     multipliers = certificate.multipliers
     if len(multipliers) != len(rows):
         raise ValueError("multiplier count does not match constraint count")
-    width = len(system.variables)
-    combined = [Fraction(0)] * width
-    total = Fraction(0)
+    # combined / denom is the sum of weight * (coeffs, rhs) over the rows
+    combined = [0] * (len(system.variables) + 1)
+    denom = 1
     strict_used: set[int] = set()
     for index, (weight, (coeffs, rel, rhs)) in enumerate(zip(multipliers, rows)):
-        if weight == 0:
+        weight_num, weight_den = weight.as_integer_ratio()
+        if not weight_num:
             continue
-        if weight < 0 and rel != EQ:
+        if weight_num < 0 and rel != EQ:
             return False
         if rel == LT:
             strict_used.add(index)
-        for k, c in enumerate(coeffs):
-            if c:
-                combined[k] += weight * c
-        total += weight * rhs
+        for k, c in enumerate((*coeffs, rhs)):
+            n, d = c.as_integer_ratio()
+            if n:
+                d *= weight_den
+                if denom % d:
+                    common = math.lcm(denom, d)
+                    combined = [x * (common // denom) for x in combined]
+                    denom = common
+                combined[k] += weight_num * n * (denom // d)
     if certificate.strict_indices != frozenset(strict_used):
         return False
+    total = combined.pop()
     if any(combined):
         return False
     if strict_used:
@@ -187,8 +241,9 @@ def _initial_rows(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, lis
     if any(rel == EQ for _, rel, _ in system.constraints):
         return _substitute(system)
     rows: list[_Row] = []
-    for index, (coeffs, rel, rhs) in enumerate(system.constraints):
-        scale, (*ints, scaled_rhs) = clear((*coeffs, rhs))
+    for index, ((_, rel, _), (scale, (*ints, scaled_rhs))) in enumerate(
+        zip(system.constraints, system.cleared())
+    ):
         bit = 1 << index
         variables = sum(1 << j for j, c in enumerate(ints) if c)
         direction = _direction(ints, math.gcd(*ints))
@@ -219,8 +274,7 @@ def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[
     width = len(system.variables)
     count = len(system.constraints)
     vectors = []
-    for index, (coeffs, _, rhs) in enumerate(system.constraints):
-        scale, ints = clear((*coeffs, rhs))
+    for index, (scale, ints) in enumerate(system.cleared()):
         multipliers = [0] * count
         multipliers[index] = scale
         vectors.append([*ints, *multipliers])

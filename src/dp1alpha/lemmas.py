@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .fme import (
@@ -68,12 +69,26 @@ class LemmaCase:
         return tuple(row.tag for row in self.rows)
 
     def system(self, drop: str | None = None) -> LinearSystem:
+        """The case's system, or the one without the row tagged ``drop``.
+
+        The full system is built on first use and kept, so it is the same
+        object on every call and clears its rows once (`LinearSystem.cleared`).
+        """
+        if drop is None:
+            return self._full_system
+        full = self._full_system
+        return LinearSystem(
+            full.variables,
+            (row for row, case_row in zip(full.constraints, self.rows) if case_row.tag != drop),
+        )
+
+    @cached_property
+    def _full_system(self) -> LinearSystem:
         constraints = []
+        zero = Fraction(0)  # one object for every absent coefficient of the kept system
         for row in self.rows:
-            if row.tag == drop:
-                continue
             mapping = dict(row.coeffs)
-            coeffs = tuple(mapping.get(v, Fraction(0)) for v in self.variables)
+            coeffs = tuple(mapping.get(v, zero) for v in self.variables)
             constraints.append((coeffs, row.relation, row.rhs))
         return LinearSystem(self.variables, constraints)
 

@@ -183,12 +183,13 @@ class CurveClassSet:
         return tuple(map(PicardClass, self.rows))
 
     @cached_property
-    def _row_set(self) -> frozenset[tuple[int, ...]]:
+    def row_set(self) -> frozenset[tuple[int, ...]]:
+        """The rows as a set, for membership tests on integer rows."""
         return frozenset(self.rows)
 
     def __contains__(self, v: PicardClass) -> bool:
         # hash(Fraction(n)) == hash(n), so integral Fraction coordinates find their row
-        return v.coeffs in self._row_set
+        return v.coeffs in self.row_set
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,9 @@ list:
 
 - every command of README.md's Subcommands block, with both `curves
   enumerate` kinds;
-- `lemma verify ID` for each of the 12 lemma ids, and `--probe` for each of
-  the 18 relaxation probes: every Fourier-Motzkin output the CLI prints;
+- `lemma verify ID` for each of the 12 lemma ids, and `--probe CASE:TAG`
+  for every row of every case, the 18 designated relaxation probes among
+  them: every Fourier-Motzkin output the CLI prints;
 - `ample`, `classify` and `alpha conjecture` on the first 75 draws of
   acceptance criterion 10's generator at seeds 5 and 77: the ample ones it
   keeps, and the ones it rejects, which test the error paths;
@@ -23,7 +24,8 @@ list:
 - `counterexample --lambda k/40` for k = 0..39;
 - the bad-input commands of test_cli.TestColdProcess.
 
-It uses only the standard library, and pytest does not collect it.
+It uses the standard library, and this checkout's `dp1alpha.lemmas` for the
+lemma ids, case names and row tags; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -59,30 +61,25 @@ README = [
     ["lemma", "verify", "local-1", "--probe", "main:x-cap"],
 ]
 
-LEMMAS = [
-    ["lemma", "verify", lemma_id]
-    for lemma_id in ("local-1", "local-2", "local-3", "local-4", "local-5", "local-6",
-                     "local-7", "local-8", "adj-2", "adj-4", "adj-7", "adj-8")
-] + [
-    ["lemma", "verify", "local-1", "--probe", "main:x-cap"],
-    ["lemma", "verify", "local-2", "--probe", "first-neighborhood:chain"],
-    ["lemma", "verify", "local-2", "--probe", "first-neighborhood:a-cap"],
-    ["lemma", "verify", "local-2", "--probe", "tangent-vertex:T-cap"],
-    ["lemma", "verify", "local-3", "--probe", "main:a-cap"],
-    ["lemma", "verify", "local-4", "--probe", "main:a-cap"],
-    ["lemma", "verify", "local-5", "--probe", "off-axis:T-cap"],
-    ["lemma", "verify", "local-5", "--probe", "triple-vertex:a-cap"],
-    ["lemma", "verify", "local-6", "--probe", "off-axis:T-cap"],
-    ["lemma", "verify", "local-6", "--probe", "triple-vertex:T-cap"],
-    ["lemma", "verify", "local-7", "--probe", "split-branch:TZ-cap"],
-    ["lemma", "verify", "local-7", "--probe", "tangent-pair:a-cap"],
-    ["lemma", "verify", "local-8", "--probe", "tangent-pair:a-cap"],
-    ["lemma", "verify", "adj-2", "--probe", "off-branch-axis:m-cap"],
-    ["lemma", "verify", "adj-2", "--probe", "on-branch-axis:gate"],
-    ["lemma", "verify", "adj-4", "--probe", "on-second:gate"],
-    ["lemma", "verify", "adj-7", "--probe", "main:m-cap"],
-    ["lemma", "verify", "adj-8", "--probe", "on-branch-axis:gate"],
-]
+
+def lemma_argvs() -> list[list[str]]:
+    """`lemma verify ID`, and `--probe CASE:TAG` for every row of every case.
+
+    The lemma ids, case names and row tags come from this checkout's lemma
+    bank.  Each probe drops one row through `LemmaCase.system(drop)`; most
+    rows keep the case infeasible, so they test the probe's failure path
+    too.
+    """
+    sys.path.insert(0, str(HERE / "src"))
+    from dp1alpha.lemmas import LEMMA_IDS, get_encoding
+
+    argvs = [["lemma", "verify", lemma_id] for lemma_id in LEMMA_IDS]
+    for lemma_id in LEMMA_IDS:
+        for case in get_encoding(lemma_id).cases:
+            for tag in case.row_tags():
+                argvs.append(["lemma", "verify", lemma_id, "--probe", f"{case.name}:{tag}"])
+    return argvs
+
 
 BAD_INPUT = [
     ["lemma", "verify", "local-1", "--probe", "main:mult"],
@@ -151,7 +148,7 @@ def argvs() -> list[list[str]]:
     classes = criterion_10_draws(5) + criterion_10_draws(77)
     return (
         README
-        + LEMMAS
+        + lemma_argvs()
         + [[*command, "--class", text] for text in classes
            for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
         + [[*command, "--class", text] for text in BRANCHES + WIDE

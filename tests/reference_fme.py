@@ -14,6 +14,11 @@ it builds a pair, rebuilds multipliers for the contradiction only and
 back-substitutes over one common denominator with integer bounds, so both
 must return equal results -- the same certificate or the same witness --
 on every system, after building the same number of rows.
+
+It also holds the ``Fraction`` checkers, ``check_certificate`` and
+``holds_at``: the plain recombination of the rows and evaluation at a
+point.  The package's checkers do the same in integers; test_fme holds them
+to these answers.
 """
 
 from __future__ import annotations
@@ -21,7 +26,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dp1alpha.fme import EQ, LT, FarkasCertificate, Feasible, LinearSystem, check_certificate
+from dp1alpha.fme import EQ, LE, LT, FarkasCertificate, Feasible, LinearSystem
+
+
+def check_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
+    """Recombine the rows in Fractions; true iff a contradiction is produced."""
+    rows = system.constraints
+    multipliers = certificate.multipliers
+    if len(multipliers) != len(rows):
+        raise ValueError("multiplier count does not match constraint count")
+    width = len(system.variables)
+    combined = [Fraction(0)] * width
+    total = Fraction(0)
+    strict_used: set[int] = set()
+    for index, (weight, (coeffs, rel, rhs)) in enumerate(zip(multipliers, rows)):
+        if weight == 0:
+            continue
+        if weight < 0 and rel != EQ:
+            return False
+        if rel == LT:
+            strict_used.add(index)
+        for k, c in enumerate(coeffs):
+            if c:
+                combined[k] += weight * c
+        total += weight * rhs
+    if certificate.strict_indices != frozenset(strict_used):
+        return False
+    if any(combined):
+        return False
+    if strict_used:
+        return total <= 0
+    return total < 0
+
+
+def holds_at(system: LinearSystem, point: tuple[Fraction, ...]) -> bool:
+    """Evaluate every constraint at a point in Fractions."""
+    if len(point) != len(system.variables):
+        raise ValueError("point width mismatch")
+    for coeffs, rel, rhs in system.constraints:
+        value = sum((c * x for c, x in zip(coeffs, point) if c), Fraction(0))
+        if rel == LE:
+            ok = value <= rhs
+        elif rel == LT:
+            ok = value < rhs
+        else:
+            ok = value == rhs
+        if not ok:
+            return False
+    return True
 
 
 @dataclass
@@ -240,5 +292,5 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         rest = sum((c * values[j] for j, c in enumerate(coeffs) if j != var), Fraction(0))
         values[var] = (rhs - rest) / coeffs[var]
     witness = tuple(values)
-    assert system.holds_at(witness)
+    assert holds_at(system, witness)
     return Feasible(witness=witness)

@@ -1062,6 +1062,10 @@ _VALIDATED = {
 }
 
 
+# P1xP1 from a seven-class face with an even complement: a conic with delta = 0
+_SEVEN_FACE_P1XP1 = "19/5,-9/5,-4/5,-7/10,-3/5,-1/2,-2/5,-3/10,-9/5"
+
+
 def _mutants(profile: PolarizationProfile):
     """(name, profile) with one field changed so that the decomposition no longer holds."""
     a = profile.a
@@ -1214,6 +1218,32 @@ class TestValidateProfile:
             with pytest.raises(UnclassifiableError, match="not integral"):
                 cone._validate_profile(mutant, a)
 
+    @pytest.mark.parametrize("text", [*_VALIDATED.values(), _SEVEN_FACE_P1XP1])
+    def test_face_is_certified(self, text):
+        a = parse_class(text)
+        profile = classify(a)
+        if text == _SEVEN_FACE_P1XP1:
+            # the face rule is keyed on delta: a conic, delta = 0, and N as the face
+            assert profile.conic is not None and not profile.delta
+        face = profile.face_generators
+        curves = enumerate_minus_one_classes().members
+        outside = next(e for e in curves if e not in face)
+        if profile.delta:
+            assert len(face) == 14
+            meeting = next(e for e in curves if pairing(e, profile.conic))
+            mutants = [face - {min(face)}, face | {outside}, face - {min(face)} | {meeting}]
+            # orthogonal to the conic, but not a (-1)-class
+            mutants.append(face - {min(face)} | {profile.conic})
+            message = "face is not the 14"
+        else:
+            assert face == {e for c, e in zip(profile.a, profile.basis) if c}
+            mutants = [face - {min(face)}, face | {outside}]
+            mutants += [face | {e} for c, e in zip(profile.a, profile.basis) if not c]
+            message = "face is not the basis classes"
+        for mutant in mutants:
+            with pytest.raises(UnclassifiableError, match=message):
+                cone._validate_profile(replace(profile, face_generators=frozenset(mutant)), a)
+
     def test_wide_denominators(self):
         # the common denominator passes 2^62, as in the CLI's wide cases
         for text in _VALIDATED.values():
@@ -1280,6 +1310,37 @@ class TestFactsCertifiedOnce:
         _corrupt_split(monkeypatch, short)
         with pytest.raises(UnclassifiableError):
             classify(parse_class(_VALIDATED[type_tag]))
+
+    def test_face_that_drops_a_fibre_with_a_negative_member(self, monkeypatch):
+        # the negative member stays in the basis, which keeps its seven
+        # classes: only the face certificate can refuse the profile
+        rows = enumerate_minus_one_classes().rows
+        corrupted = []
+
+        def short(negative, twice_delta, conic, face):
+            if conic is None:
+                return negative, twice_delta, conic, face
+            in_negative = {j for j, _ in negative}
+            fibres = {frozenset((j, rows.index(tuple(map(sub, conic, rows[j]))))) for j in face}
+            assert len(fibres) == 7
+            dropped = next(f for f in sorted(fibres, key=min) if f & in_negative)
+            corrupted.append(dropped)
+            return negative, twice_delta, conic, face - dropped
+
+        _corrupt_split(monkeypatch, short)
+        classes = [parse_class(_VALIDATED[F1]), parse_class(_VALIDATED[P1XP1])]
+        classes += _criterion_10_classes(60)
+        refused = 0
+        for a in classes:
+            before = len(corrupted)
+            try:
+                classify(a)
+            except UnclassifiableError as error:
+                assert "face is not the 14" in str(error)
+                refused += 1
+            assert refused == len(corrupted), format_class(a)
+            assert len(corrupted) - before <= 1
+        assert refused > 2
 
     @pytest.mark.parametrize(
         "type_tag, message",

@@ -610,6 +610,155 @@ class TestChernikovBound:
             assert built["package"] == built["reference"], f"system {index}"
 
 
+def _certificate_variants(system: LinearSystem, certificate: FarkasCertificate):
+    """The certificate, and copies with one multiplier moved, no strict rows or a negative weight."""
+    weights = certificate.multipliers
+    yield certificate
+    yield FarkasCertificate(weights, frozenset())
+    for i, weight in enumerate(weights):
+        for moved in (weight + Fraction(1, 3), weight * Fraction(5, 4), -weight, Fraction(0)):
+            if moved != weight:
+                yield FarkasCertificate(weights[:i] + (moved,) + weights[i + 1 :],
+                                        certificate.strict_indices)
+    for i, (_, rel, _) in enumerate(system.constraints):
+        if rel != EQ:
+            yield FarkasCertificate(weights[:i] + (Fraction(-1),) + weights[i + 1 :],
+                                    certificate.strict_indices)
+            break
+
+
+def _perturbed_points(rng: random.Random, point: tuple[Fraction, ...]):
+    """The point, with its integral coordinates as ints, and copies with one coordinate moved."""
+    mixed = tuple(int(x) if x.denominator == 1 else x for x in point)
+    yield point
+    yield mixed
+    for i in range(len(point)):
+        step = rng.choice([1, -1, Fraction(1, 7), Fraction(-1, 2), Fraction(1, 10**12)])
+        yield mixed[:i] + (mixed[i] + step,) + mixed[i + 1 :]
+    yield tuple(rng.randint(-3, 3) for _ in point)
+
+
+class TestCheckersAgainstReference:
+    """The integer checkers give the ``Fraction`` checkers' answer on every case."""
+
+    @staticmethod
+    def _agree(system: LinearSystem, result, rng: random.Random, tally: dict) -> None:
+        if isinstance(result, FarkasCertificate):
+            for certificate in _certificate_variants(system, result):
+                expected = reference_fme.check_certificate(system, certificate)
+                assert check_certificate(system, certificate) == expected, certificate
+                tally["certificate", expected] += 1
+            point = tuple(Fraction(0) for _ in system.variables)
+        else:
+            point = result.witness
+        for moved in _perturbed_points(rng, point):
+            expected = reference_fme.holds_at(system, moved)
+            assert system.holds_at(moved) == expected, moved
+            tally["point", expected] += 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_criterion_10_draws(self, seed):
+        rng = random.Random(seed)
+        perturb = random.Random(-seed)
+        tally = {(kind, answer): 0 for kind in ("certificate", "point") for answer in (True, False)}
+        for trial in range(600):
+            system = _criterion_10_system(rng, force_feasible=trial % 2 == 0)
+            self._agree(system, prove_infeasible(system), perturb, tally)
+        assert all(tally.values()), tally
+
+    def test_lemma_bank_and_probes(self):
+        rng = random.Random(7)
+        tally = {(kind, answer): 0 for kind in ("certificate", "point") for answer in (True, False)}
+        for system in _lemma_systems() + _probe_systems():
+            self._agree(system, prove_infeasible(system), rng, tally)
+        assert all(tally.values()), tally
+
+    def test_fractional_coefficients(self):
+        # rows whose coefficients have different denominators, so that the
+        # running common denominator of each row grows as it is summed
+        rng = random.Random(11)
+        tally = {(kind, answer): 0 for kind in ("certificate", "point") for answer in (True, False)}
+        for trial in range(300):
+            width = rng.randint(1, 4)
+            rows = [
+                (
+                    tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(width)),
+                    rng.choice([LE, LE, LT, EQ]),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                )
+                for _ in range(rng.randint(2, 6))
+            ]
+            system = _system([f"v{i}" for i in range(width)], rows)
+            self._agree(system, prove_infeasible(system), rng, tally)
+        assert all(tally.values()), tally
+
+
+class TestBuildAndClearOnce:
+    """Each lemma case builds its system once, and each system clears its rows once."""
+
+    def test_case_system_is_built_once(self):
+        for lemma_id in lemmas.LEMMA_IDS:
+            for case in lemmas.get_encoding(lemma_id).cases:
+                assert case.system() is case.system()
+                for tag in case.row_tags():
+                    assert case.system(drop=tag) is not case.system()
+
+    def test_dropped_row_system_matches_a_fresh_build(self):
+        for lemma_id in lemmas.LEMMA_IDS:
+            for case in lemmas.get_encoding(lemma_id).cases:
+                for tag in case.row_tags():
+                    kept = [row for row in case.rows if row.tag != tag]
+                    fresh = lemmas.LemmaCase(case.name, case.variables, tuple(kept)).system()
+                    assert case.system(drop=tag) == fresh
+
+    def test_second_proof_makes_no_clear_call(self, monkeypatch):
+        calls = []
+        real = fme.clear
+
+        def counting(values):
+            calls.append(values)
+            return real(values)
+
+        monkeypatch.setattr(fme, "clear", counting)
+        for system in (_lemma_systems()[0], _criterion_10_draw(1, 6), _criterion_10_draw(1, 7)):
+            system = LinearSystem(system.variables, system.constraints)  # nothing cleared yet
+            first = prove_infeasible(system)
+            assert len(calls) == len(system.constraints)
+            assert prove_infeasible(system) == first
+            assert len(calls) == len(system.constraints)
+            calls.clear()
+
+    def test_every_call_still_eliminates(self, monkeypatch):
+        calls = []
+        real = fme._initial_rows
+        monkeypatch.setattr(fme, "_initial_rows", lambda system: calls.append(1) or real(system))
+        first = lemmas.verify_lemma("local-8")
+        assert lemmas.verify_lemma("local-8") == first
+        lemmas.relaxation_probe("local-8", "tangent-pair:a-cap")
+        lemmas.relaxation_probe("local-8", "tangent-pair:a-cap")
+        assert len(calls) == 2 * len(first.cases) + 2
+
+    def test_checkers_share_no_code_with_the_prover(self, monkeypatch):
+        systems = _lemma_systems() + [_criterion_10_draw(2, t) for t in range(40)]
+        results = [prove_infeasible(system) for system in systems]
+
+        def refuse(*args):
+            raise AssertionError("the checkers must not call the prover's code")
+
+        monkeypatch.setattr(fme, "clear", refuse)
+        monkeypatch.setattr(fme, "_initial_rows", refuse)
+        for system, result in zip(systems, results):
+            fresh = LinearSystem(system.variables, system.constraints)  # nothing cleared yet
+            if isinstance(result, FarkasCertificate):
+                assert check_certificate(fresh, result)
+                origin = tuple(0 for _ in fresh.variables)
+                assert fresh.holds_at(origin) == reference_fme.holds_at(fresh, origin)
+            else:
+                assert fresh.holds_at(result.witness)
+        with pytest.raises(AssertionError, match="prover"):
+            prove_infeasible(LinearSystem(systems[0].variables, systems[0].constraints))
+
+
 class TestSelfChecksRaise:
     """The self-checks are explicit raises, so they survive ``python -O``."""
 
