@@ -15,19 +15,23 @@ pairs least with H and H - e1 among their orbits, and with e8 among the
 of `picard._reflect`, the ones that build the two curve families there.
 Ampleness, pseudo-effectivity and mu are read off that chamber
 representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
-checked against the 240 classes.  `_validate_profile` certifies the
-profile `classify` returns, type and boundary face included.
+checked against the 240 classes.
 
-The scans over the 240 (-1)-classes (the nef-ray check, the negative part
-of K + mu*A, the conic's pairings and the orthogonality masks) are one
-240x9 integer matrix times an integral vector w.  `_packed` does that
-product in nine big-integer multiply-adds: column k packs the k-th
-coordinates of the 240 classes, signed by the form, into 64-bit slots, and
-a bias of 2^62 per slot keeps each slot non-negative.  Slot j then holds
-2^62 + w.E_j, so one mask test on bit 62 of every slot says whether any
-pairing is negative, and only the negative or zero slots are unpacked.  The
-slots stay exact while 6|w_0| + 3*sum(|w_i|) < 2^62; a wider w takes the
-plain scan of `_pairings`.
+`classify` reads the whole profile off the same chamber representative
+A' = w(A): K + mu*A' has a closed form over e1..e8 and the fibres
+{e_i, H - e1 - e_i} of the conic H - e1, and `_images` maps those classes
+back through w^-1.  `_validate_profile` certifies the profile without the
+chamber: type, basis, conic, boundary face and recomposition.
+
+The nef-ray check scans the 240 pairings N.E, one 240x9 integer matrix
+times an integral vector w.  `_packed` does that product in nine
+big-integer multiply-adds: column k packs the k-th coordinates of the 240
+classes, signed by the form, into 64-bit slots, and a bias of 2^62 per
+slot keeps each slot non-negative.  Slot j then holds 2^62 + w.E_j, so one
+mask test on bit 62 of every slot says whether any pairing is negative,
+and only the negative slots are unpacked.  The slots stay exact while
+6|w_0| + 3*sum(|w_i|) < 2^62; a wider w takes the plain scan of
+`_pairings`.
 `membership_certificate` keeps the exact LP for callers that want a primal
 decomposition or a Farkas witness; `linprog` is imported on its first call.
 """
@@ -39,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .picard import (
@@ -47,7 +51,6 @@ from .picard import (
     _reflect,
     canonical_class,
     dot,
-    enumerate_conic_classes,
     enumerate_minus_one_classes,
     format_class,
 )
@@ -109,8 +112,8 @@ _BELOW_BIAS = b"\x01" * 0x40 + bytes(0xC0)
 
 
 @lru_cache(maxsize=None)
-def _packed_columns() -> tuple[tuple[int, ...], int, int]:
-    """The nine packed columns of the (-1)-classes, one per slot, and the unit and bias words.
+def _packed_columns() -> tuple[tuple[int, ...], int]:
+    """The nine packed columns of the (-1)-classes, one per slot, and the bias word.
 
     Column k is sum(s_k * E_j[k] * 2^(64j)) with s_k the sign of the form,
     so sum(w_k * column_k) packs the 240 pairings w.E_j.
@@ -120,15 +123,14 @@ def _packed_columns() -> tuple[tuple[int, ...], int, int]:
         sum(sign * row[k] << (64 * j) for j, row in enumerate(rows))
         for k, sign in enumerate((1,) + (-1,) * 8)
     )
-    ones = sum(1 << (64 * j) for j in range(len(rows)))
-    return columns, ones, ones * _BIAS
+    return columns, sum(_BIAS << (64 * j) for j in range(len(rows)))
 
 
 def _packed(w: tuple[int, ...] | list[int]) -> int | None:
     """sum((2^62 + w.E_j) * 2^(64j)) over the (-1)-classes, or None if a slot could overflow."""
     if 6 * abs(w[0]) + 3 * sum(map(abs, w[1:])) >= _BIAS:
         return None
-    columns, _, total = _packed_columns()
+    columns, total = _packed_columns()
     for x, column in zip(w, columns):
         if x:
             total += x * column
@@ -150,7 +152,7 @@ def _negative_pairings(w: tuple[int, ...] | list[int]) -> list[tuple[int, int]]:
     total = _packed(w)
     if total is None:
         return [(j, p) for j, p in enumerate(_pairings(w)) if p < 0]
-    bias = _packed_columns()[2]
+    bias = _packed_columns()[1]
     if total & bias == bias:
         return []
     octets = _slot_octets(total)
@@ -158,20 +160,6 @@ def _negative_pairings(w: tuple[int, ...] | list[int]) -> list[tuple[int, int]]:
         (j, int.from_bytes(octets[8 * j : 8 * j + 8], "little") - _BIAS)
         for j in compress(range(len(octets) // 8), octets[7::8].translate(_BELOW_BIAS))
     ]
-
-
-def _zero_pairings(w: tuple[int, ...] | list[int]) -> list[int]:
-    """The indices j with w.E_j = 0, ascending.
-
-    Slot j equals 2^62 exactly when its bit 62 is set and clears once one
-    is subtracted from every slot.
-    """
-    total = _packed(w)
-    if total is None:
-        return [j for j, p in enumerate(_pairings(w)) if not p]
-    _, ones, bias = _packed_columns()
-    octets = _slot_octets(total & ~(total - ones) & bias)
-    return list(compress(range(len(octets) // 8), octets[7::8]))
 
 
 def solve(problem: LPProblem) -> LPResult:
@@ -302,109 +290,6 @@ def mu_threshold(A: PicardClass) -> Fraction:
     return mu
 
 
-def _boundary_split(
-    w: tuple[int, ...],
-) -> tuple[list[tuple[int, int]], int, tuple[int, ...] | None, set[int]]:
-    """Read D = K + mu*A as sum(a_E * E) + delta*C off the lattice, with its face.
-
-    D is given as the integer row w = s*D for some positive scale s, and
-    (-1)-classes by their indices in enumeration order.  Distinct
-    (-1)-classes meet non-negatively and a conic class C is nef, so in
-    D = sum(a_i * E_i) + delta*C with disjoint E_i orthogonal to C, exactly
-    the E_i with a_i > 0 pair negatively with D, each to -a_i.  The scan
-    takes N = {E : w.E < 0} with coefficients -w.E = s*a_E; the residual
-    R = w - sum(-w.E * E) must be 0 or s*delta*C with delta > 0.
-
-    Returns N as (index, s*a_E) pairs in enumeration order, 2*s*delta, the
-    row of C or None, and the indices of the minimal face of D:
-
-    - R = 0: the face is N.  L = -K + sum(N), the pull-back of -K from
-      contracting N, is nef and vanishes on D; L.E = 1 + sum(E'.E for E'
-      in N) >= 1 for every generator E outside N.
-    - R = s*delta*C: the face is {E : E.C = 0}, the 14 components of the
-      seven reducible fibres.  C.D = 0 with C nef (`_validate_profile`
-      certifies C) keeps every other generator out, and C = p + q on each
-      fibre puts both p and q in.
-    """
-    rows = enumerate_minus_one_classes().rows
-    negative = [(j, -p) for j, p in _negative_pairings(w)]
-    residual = list(w)
-    for j, coeff in negative:
-        residual = [r - coeff * x for r, x in zip(residual, rows[j])]
-    if not any(residual):
-        return negative, 0, None, {j for j, _ in negative}
-
-    twice_delta = -dot(residual, _K_ROW)  # -R.K = 2*s*delta
-    if twice_delta <= 0 or any(2 * r % twice_delta for r in residual):
-        raise UnclassifiableError(
-            f"residual of {','.join(map(str, w))} is not a positive multiple of "
-            "an integral class"
-        )
-    conic = tuple(2 * r // twice_delta for r in residual)
-    if dot(conic, conic):
-        raise UnclassifiableError("residual class has nonzero square")
-    return negative, twice_delta, conic, set(_zero_pairings(conic))
-
-
-@lru_cache(maxsize=None)
-def _orthogonal_mask(j: int) -> int:
-    """Bit k set iff the j-th and k-th (-1)-classes are orthogonal."""
-    return sum(1 << k for k in _zero_pairings(enumerate_minus_one_classes().rows[j]))
-
-
-def _extend_to_disjoint_eight(chosen: list[int]) -> list[int]:
-    """Extend disjoint (-1)-classes, by index, to eight: the lex-smallest extension.
-
-    Each pick is the lowest class orthogonal to all so far that leaves one
-    for the next.  W(E8) moves any six or fewer disjoint (-1)-classes to
-    e8, e7, ... (it is transitive on the lines of degrees 2 to 6; Manin,
-    *Cubic Forms*, sections 23 and 26), so they extend: only the seventh
-    pick can be refused, and the scan finds what backtracking in ascending
-    order would.  Seven classes with no eighth come back as they are.
-    """
-    candidates = (1 << len(enumerate_minus_one_classes())) - 1
-    for j in chosen:
-        candidates &= _orthogonal_mask(j)
-    extended, pending = list(chosen), candidates
-    while pending and len(extended) < 8:
-        idx = (pending & -pending).bit_length() - 1
-        pending &= pending - 1
-        room = candidates & _orthogonal_mask(idx)
-        if room or len(extended) == 7:
-            extended.append(idx)
-            candidates = pending = room
-    return extended
-
-
-def _complement_is_even(seven: list[int]) -> bool:
-    """Parity of the rank-2 lattice L orthogonal to seven disjoint (-1)-classes, by index.
-
-    The E_i span -I_7, which is unimodular, so L is unimodular.  K is
-    characteristic (v.v = v.K mod 2 for integral v), and w = K - sum(E_i)
-    pairs to K.E_i + 1 = 0 with each E_i, so w lies in L and is
-    characteristic for L.  A unimodular lattice is even exactly when its
-    characteristic vectors lie in 2L (Milnor-Husemoller), and L is
-    primitive, so L is even exactly when every coordinate of w is even.
-    The premise is seven distinct indices with (sum E_i)^2 = -7: distinct
-    (-1)-classes pair to 0, 1, 2 or 3, so that says they are disjoint.
-    """
-    all_rows = enumerate_minus_one_classes().rows
-    span = [sum(col) for col in zip(*(all_rows[j] for j in seven))]
-    if len(set(seven)) != 7 or dot(span, span) != -7:
-        raise UnclassifiableError("parity test needs seven disjoint (-1)-classes")
-    return all((k - c) % 2 == 0 for k, c in zip(_K_ROW, span))
-
-
-def _orthogonal_conic(seven: list[int]) -> tuple[int, ...]:
-    """The row of the first conic class, in enumeration order, orthogonal to the seven."""
-    all_rows = enumerate_minus_one_classes().rows
-    rows = [all_rows[j] for j in seven]
-    for row in enumerate_conic_classes().rows:
-        if not any(dot(row, w) for w in rows):
-            return row
-    raise UnclassifiableError("no conic class orthogonal to the seven generators")
-
-
 def _integral_row(e: PicardClass) -> tuple[int, ...]:
     """The coordinates of e as ints; UnclassifiableError unless e is integral."""
     denom, row = e.cleared()
@@ -422,7 +307,9 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
     basis holds distinct (-1)-classes E_i (E_i^2 = K.E_i = -1) with
     (sum E_i)^2 = -k for k of them: distinct (-1)-classes pair to 0, 1, 2
     or 3, so they are pairwise orthogonal.  The type is P1xP1 exactly when
-    K - sum(E_i) is even, read off this sum and not `_complement_is_even`.
+    K - sum(E_i) is even, read off this sum and not off the chamber: it is
+    characteristic for the unimodular lattice orthogonal to the seven E_i,
+    which is even exactly when K - sum(E_i) lies in twice that lattice.
     A conic C has C^2 = 0 and K.C = -2, so it is one of the 2160 conics,
     which are nef, and C.sum(E_i) = 0 puts every E_i on its face
     {E : E.C = 0}.  Finally K + mu*A = sum(a_i * E_i) + delta*C holds in
@@ -435,7 +322,9 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
     zero sum makes every term 0; a conic is orthogonal to exactly fourteen
     (-1)-classes, the components of its seven reducible fibres, so these
     are all of them.  With delta = 0 the face is N, the basis classes with
-    a > 0 (see `_boundary_split`).
+    a > 0: in a decomposition over disjoint (-1)-classes exactly those pair
+    negatively with K + mu*A, and L = -K + sum(N), nef and orthogonal to
+    K + mu*A, pairs to at least 1 with every other (-1)-class.
     """
     a = profile.a
     if not a or not a[0] < 1:
@@ -500,62 +389,111 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
         raise UnclassifiableError("recomposition identity failed")
 
 
+_IDENTITY = tuple(tuple(int(i == k) for i in range(9)) for k in range(9))
+
+
+def _images(word: list[int]) -> list[tuple[int, ...]]:
+    """The rows of w^-1(H), w^-1(e1), ..., w^-1(e8) for a chamber word w.
+
+    w applies its letters in order, so appending a letter s to w turns
+    w^-1(v) into w^-1(s(v)).  A swap letter i exchanges the images of e_i
+    and e_(i+1).  Letter 0, the reflection in r = H - e1 - e2 - e3, moves
+    H, e1, e2 and e3, which pair to 1 with r, to themselves plus r, so it
+    adds w^-1(r) to each of their images.
+    """
+    images = list(_IDENTITY)
+    for letter in word:
+        if letter:
+            images[letter], images[letter + 1] = images[letter + 1], images[letter]
+        else:
+            root = [h - a - b - c for h, a, b, c in zip(*images[:4])]
+            images[:4] = [tuple(map(add, image, root)) for image in images[:4]]
+    return images
+
+
+@lru_cache(maxsize=None)
+def _minus_one_index() -> dict[tuple[int, ...], int]:
+    """The enumeration index of each (-1)-class row."""
+    return {row: j for j, row in enumerate(enumerate_minus_one_classes().rows)}
+
+
+def _index(row: tuple[int, ...]) -> int:
+    """The enumeration index of a (-1)-class row; UnclassifiableError for any other row."""
+    j = _minus_one_index().get(row)
+    if j is None:
+        raise UnclassifiableError(f"mapped row {','.join(map(str, row))} is not a (-1)-class")
+    return j
+
+
 def classify(A: PicardClass) -> PolarizationProfile:
     """Classify an ample class as P2, F1, or P1xP1 with its coefficient data.
 
-    The boundary split gives D = K + mu*A = sum(a_E * E) + delta*C.  With a
-    conic C, N holds at most one component p or q = C - p of each of the
-    seven reducible fibres (D.p + D.q = D.C = 0); a fibre without one adds
-    its lex-smaller component with coefficient 0.  One rule gives the
-    type: P1xP1 if the basis has seven classes and every coordinate of
-    K - sum(E_i) is even (`_complement_is_even`), and then a face without
-    a conic takes the first conic orthogonal to it; otherwise F1 with a
-    conic, and P2 without one, padded to eight disjoint classes with
-    coefficient 0.  `_validate_profile` certifies the profile, type included.
+    mu comes from `mu_threshold`.  The rest is read off the chamber
+    representative A' = w(row) = d'H - sum(m'_i e_i) of A = row/den (see
+    `_chamber`): K + mu*A' decomposes in closed form over e1..e8 and the
+    conic H - e1, and `_images` maps its classes back through w^-1.
 
-    A is reduced to the W(E8) chamber once, inside `mu_threshold`.  The rest
-    works on (-1)-classes by their indices in enumeration order, which is
-    also their order as classes, and on integer rows over the one positive
-    scale s = den(mu)*den(A), with D written as s*K + num(mu)*den(A)*A.
-    Classes are built only for the returned profile.
+    - P2 when d' >= 3m'_1, where mu*A' = 3A'/d': K + mu*A' = sum(a_i e_i)
+      with a_i = 1 - 3m'_i/d' on w^-1(e_i).  The face is the members with
+      a > 0.
+    - Otherwise mu*A' = 2A'/s with s = d' - m'_1.  The fibres of H - e1 are
+      {e_i, H - e1 - e_i} for i = 2..8, and c_i = (s - 2m'_i)/s goes on e_i
+      when positive and, as |c_i|, on H - e1 - e_i when negative; a fibre
+      with c_i = 0 contributes its component with the lower enumeration
+      index.  Only c_2 can be negative, since d' >= m'_1 + m'_2 + m'_3, and
+      delta = (2d' - 3s + min(0, s - 2m'_2))/s.  With delta > 0 the conic is
+      w^-1(H - e1) and the face its 14 fibre components.  delta = 0 means
+      m'_1 = m'_2: H - e1 and H - e2 are then the only conics orthogonal to
+      the seven members, the conic is the lower row of their images, and
+      the face is the members with a > 0.  The type is P1xP1 when
+      K - sum(E_i) is even, that is when an odd number of fibres contribute
+      H - e1 - e_i: in the chamber K - sum(E_i) has e1-coefficient 1 + that
+      number and even coefficients on e2..e8.  Otherwise it is F1.
+
+    The basis is sorted by descending coefficient, then by enumeration
+    index.  (-1)-classes are looked up by row among the 240, so only the
+    conic is built as a new class.  `_validate_profile` certifies the
+    profile, type included, without the chamber.
     """
     try:
         mu = mu_threshold(A)
     except ValueError:
         raise ValueError("classify requires an ample class") from None
-    den, row = A.cleared()
-    s = mu.denominator * den
-    chosen, twice_delta, conic, face = _boundary_split(
-        tuple(s * k + mu.numerator * x for k, x in zip(_K_ROW, row))
-    )
-    curves = enumerate_minus_one_classes()
-    if conic is not None:
-        in_negative = {curves.rows[j] for j, _ in chosen}
-        for j in sorted(face):
-            p = curves.rows[j]
-            q = tuple(map(sub, conic, p))
-            if p < q and p not in in_negative and q not in in_negative:
-                chosen.append((j, 0))
-    selected = [j for j, _ in chosen]
-    if (conic is not None or len(selected) == 7) and _complement_is_even(selected):
-        type_tag = P1XP1
-        if conic is None:
-            conic = _orthogonal_conic(selected)
-    elif conic is not None:
-        type_tag = F1
-    else:  # an odd complement holds an eighth class
-        type_tag = P2
-        chosen += [(j, 0) for j in _extend_to_disjoint_eight(selected)[len(selected) :]]
+    word, row = _chamber(A.cleared()[1])
+    images = _images(word)
+    d, conic = row[0], None
+    if d + 3 * row[1] >= 0:
+        type_tag, scale, delta = P2, d, 0
+        chosen = [(_index(images[i]), d + 3 * row[i]) for i in range(1, 9)]
+        face = [j for j, c in chosen if c]
+    else:
+        scale = d + row[1]
+        conic = tuple(map(sub, images[0], images[1]))
+        chosen, face, odd = [], [], False
+        for i in range(2, 9):
+            c = scale + 2 * row[i]
+            p, q = _index(images[i]), _index(tuple(map(sub, conic, images[i])))
+            face += (p, q)
+            if c < 0 or (not c and q < p):
+                chosen.append((q, -c))
+                odd = not odd
+            else:
+                chosen.append((p, c))
+        type_tag = P1XP1 if odd else F1
+        delta = 2 * d - 3 * scale + min(0, scale + 2 * row[2])
+        if not delta:
+            conic = min(conic, tuple(map(sub, images[0], images[2])))
+            face = [j for j, c in chosen if c]
     chosen.sort(key=lambda item: (-item[1], item[0]))
-    a = tuple(Fraction(c, s) for _, c in chosen)
+    curves = enumerate_minus_one_classes().members
     profile = PolarizationProfile(
         type_tag=type_tag,
         mu=mu,
-        a=a,
-        delta=Fraction(twice_delta, 2 * s),
-        s_A=Fraction(sum(c for _, c in chosen[1:]), s),
-        face_generators=frozenset(curves.members[j] for j in sorted(face)),
-        basis=tuple(curves.members[j] for j, _ in chosen),
+        a=tuple(Fraction(c, scale) for _, c in chosen),
+        delta=Fraction(delta, scale),
+        s_A=Fraction(sum(c for _, c in chosen[1:]), scale),
+        face_generators=frozenset(curves[j] for j in sorted(face)),
+        basis=tuple(curves[j] for j, _ in chosen),
         conic=None if conic is None else PicardClass(conic),
     )
     _validate_profile(profile, A)

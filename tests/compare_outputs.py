@@ -110,17 +110,24 @@ def criterion_10_draws(seed: int, count: int = 75) -> list[str]:
 
 
 # Classes whose classify takes the branches criterion 10's draws miss: a
-# seven-class face with an even complement (P1xP1 with the first orthogonal
-# conic), one with an odd complement (P2, padded to eight), the
-# conic-bundle classes whose fibres carry coefficient 0 (test_cone), and
-# -K and -K + (e1 + ... + ek)/3 for k = 2..7: P2 with k nonzero
-# coefficients, which pad 8 - k classes.
+# seven-class face with an even complement (P1xP1 with the lower of two
+# rulings), one with an odd complement (P2 with one zero coefficient), the
+# conic-bundle classes whose fibres carry coefficient 0 (test_cone); three
+# W(E8) images whose chamber words hold the letter 0 twice: of the deep-wall
+# class 12H - 4(e1 + ... + e4) - 3e5 - 2e6 - 2e7 - e8 (P2 with four zero
+# coefficients), of 13H - 5e1 - 4(e2 + e3 + e4) - 3e5 - 2e6 - 2e7 - e8 (F1
+# with fibres 2-4 at coefficient 0) and of (9H - 3(e1 + e2 + e3) - 2(e4 +
+# e5 + e6) - e7 - e8)/3 (P2 with three zero coefficients); and -K and
+# -K + (e1 + ... + ek)/3 for k = 2..7: P2 with k nonzero coefficients.
 BRANCHES = [
     "19/5,-9/5,-4/5,-7/10,-3/5,-1/2,-2/5,-3/10,-9/5",
     "3,-1,-9/10,-17/20,-4/5,-3/4,-7/10,-13/20,-3/5",
     "12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2",
     "12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2",
     "9,-2,-5/2,-11/3,-1,-2,-4,-8/3,-3",
+    "14,-5,-5,-5,-5,-5,-2,-2,-1",
+    "16,-6,-6,-6,-6,-5,-2,-2,-1",
+    "4,-2,-4/3,-4/3,-1,-4/3,-1/3,-1,-1/3",
 ] + [",".join(["3"] + ["-2/3"] * k + ["-1"] * (8 - k)) for k in (0, 2, 3, 4, 5, 6, 7)]
 
 

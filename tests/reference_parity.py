@@ -3,15 +3,15 @@
 
 The complement is computed as a Z-basis by unimodular column reduction, and
 its parity read off the diagonal of the Gram matrix.
-``dp1alpha.cone._complement_is_even`` decides the same parity from the
-coordinates of K - sum(E_i) instead; this is the independent check it is
-tested against.
+``reference_classify.complement_is_even`` decides the same parity from the
+coordinates of K - sum(E_i) instead, as ``dp1alpha.cone._validate_profile``
+does; this is the independent check it is tested against.
 
 `extend_to_disjoint_eight` extends disjoint (-1)-classes to eight by a
 backtracking search in ascending order, with orthogonality from the plain
-form.  ``dp1alpha.cone._extend_to_disjoint_eight`` finds the same extension
-by one greedy scan; a seven-class face is F1 exactly when this search finds
-an eighth class (a section).
+form.  ``reference_classify.extend_to_disjoint_eight`` finds the same
+extension by one greedy scan; a seven-class face is F1 exactly when this
+search finds an eighth class (a section).
 """
 
 from __future__ import annotations

@@ -8,11 +8,15 @@ its orbit, so the dominant rows with d' <= 12 list the ample orbits of
 degree at most 12: 754 of them.  Each is checked against oracles that do not
 call `classify`'s code: the 240-class ampleness scan, a nef class that
 certifies mu and the face, the recomposition in Fractions, the unimodular
-parity oracle, the backtracking section search and, up to d' = 9, the LP
-face oracle.  W(E8) images and the Bertini image must keep mu, a, delta and
-s_A, move the face onto the face, and pad P2 as the search does; the type
-is compared only where no coefficient is 0, since the type of a fibre with
-coefficient 0 depends on the labelling (the strict xfail in test_cone).
+parity oracle, the backtracking section search, `classify_by_search` (the
+profile read off lattice scans, without the chamber word) and, up to
+d' = 9, the LP face oracle.  W(E8) images and the Bertini image must keep
+mu, a, delta and s_A, move the face onto the face, pad P2 as the search
+does, and equal `classify_by_search` field by field.  Across images the
+type is compared only where no coefficient is 0: `classify`'s tie-break
+line `if c < 0 or (not c and q < p):` gives a fibre with coefficient 0 its
+component with the lower enumeration index, so the type depends on the
+labelling there (the strict xfail in test_cone).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dp1alpha.cone import (
     P1XP1,
     P2,
     PolarizationProfile,
-    _extend_to_disjoint_eight,
     classify,
     is_ample,
 )
@@ -41,6 +44,7 @@ from dp1alpha.picard import (
     pairing,
 )
 from reference_ample import is_ample as reference_is_ample
+from reference_classify import classify_by_search, extend_to_disjoint_eight
 from reference_face import _face_of
 from reference_parity import complement_is_even as reference_complement_is_even
 from reference_parity import extend_to_disjoint_eight as reference_extend
@@ -82,7 +86,7 @@ def _against_the_section_search(profile: PolarizationProfile) -> None:
     if profile.type_tag == P2:
         nonzero = [j for j, c in zip(members, profile.a) if c]
         extended = reference_extend(nonzero)
-        assert _extend_to_disjoint_eight(nonzero) == extended
+        assert extend_to_disjoint_eight(nonzero) == extended
         assert sorted(extended[len(nonzero) :]) == sorted(
             j for j, c in zip(members, profile.a) if not c
         )
@@ -177,6 +181,20 @@ def test_type_against_the_parity_oracle():
 def test_type_and_padding_against_the_section_search():
     for _, profile in _atlas():
         _against_the_section_search(profile)
+
+
+def test_classify_equals_the_search():
+    # each orbit, its Bertini image and one random word's image
+    rng = random.Random(1)
+    roots = _simple_root_rows()
+    for A, profile in _atlas():
+        assert profile == classify_by_search(A)
+        image = _row(A)
+        for _ in range(rng.randint(4, 24)):
+            image = _reflected(image, rng.choice(roots))
+        for row in (_bertini(_row(A)), image):
+            moved = PicardClass(row)
+            assert classify(moved) == classify_by_search(moved), row
 
 
 def test_face_against_the_lp_oracle():

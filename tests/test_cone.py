@@ -8,7 +8,6 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 import dp1alpha.cone as cone
 import dp1alpha.linprog as linprog
+import reference_classify as search
 import test_acceptance
 from dp1alpha.alpha import alpha_conjecture, counterexample_report
 from dp1alpha.cone import (
@@ -367,11 +367,11 @@ class TestClassify:
         ],
     )
     def test_orthogonal_type_is_cross_checked(self, monkeypatch, text, message):
-        # on the seven-class face without a conic, a parity test that answers
-        # wrongly must make classify fail, not call the face P2 or P1xP1
+        # on a seven-class face without a conic, a type decided against the
+        # parity must make classify fail: the even face labelled P2, or the
+        # odd one stripped of its padding and given a conic as P1xP1
         a = _even_complement_class() if text is None else parse_class(text)
-        real = cone._complement_is_even
-        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        _corrupt_profile(monkeypatch, _seven_face_with_the_other_type)
         with pytest.raises(UnclassifiableError, match=re.escape(message)):
             classify(a)
 
@@ -473,10 +473,10 @@ class TestClassify:
         ],
     )
     def test_conic_bundle_type_is_cross_checked(self, monkeypatch, text, message):
-        # a parity test that answers wrongly must make classify fail, not
-        # pick the other type: _validate_profile reads the parity itself
-        real = cone._complement_is_even
-        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        # on the wall both types are valid readings, each with its own basis:
+        # a type that disagrees with the fibre components classify took must
+        # make it fail, since _validate_profile reads the parity off the basis
+        _corrupt_profile(monkeypatch, _with_the_other_conic_type)
         with pytest.raises(UnclassifiableError, match=message):
             classify(parse_class(text))
 
@@ -568,9 +568,10 @@ class TestBoundaryFace:
             counterexample_report(lam)
         assert calls == []
 
-    def test_one_reduction_per_class(self, monkeypatch):
-        # classify reduces A to the W(E8) chamber once, inside mu_threshold,
-        # and takes its ampleness guard from that call, not from is_ample
+    def test_two_reductions_per_class(self, monkeypatch):
+        # classify reduces A to the W(E8) chamber inside mu_threshold and once
+        # more for the word it maps back, and takes its ampleness guard from
+        # mu_threshold, not from is_ample
         calls = []
         for name in ("_chamber", "is_ample"):
             real = getattr(cone, name)
@@ -580,14 +581,24 @@ class TestBoundaryFace:
         for a in _criterion_10_classes(12) + [_even_complement_class()]:
             calls.clear()
             classify(a)
-            assert calls.count("_chamber") == 1
+            assert calls.count("_chamber") == 2
             assert "is_ample" not in calls
 
-    def test_rejects_a_class_off_the_boundary(self):
+    def test_rejects_a_class_off_the_boundary(self, monkeypatch):
+        # the closed form does not read mu: a mu that puts K + mu*A inside
+        # the effective cone or outside it must fail the recomposition
+        real = cone.mu_threshold
+        for factor in (Fraction(999, 1000), Fraction(1001, 1000)):
+            monkeypatch.setattr(cone, "mu_threshold", lambda a, f=factor: f * real(a))
+            for text in _VALIDATED.values():
+                with pytest.raises(UnclassifiableError, match="recomposition identity failed"):
+                    classify(parse_class(text))
+
+    def test_search_boundary_split_rejects_a_class_off_the_boundary(self):
         # -K pairs positively with every generator, and -K itself is no
         # multiple of a conic class
         with pytest.raises(UnclassifiableError):
-            cone._boundary_split((-K).cleared()[1])
+            search.boundary_split((-K).cleared()[1])
 
 
 def _permuted(v: PicardClass, perm: list[int]) -> PicardClass:
@@ -696,8 +707,10 @@ class TestWeylInvariance:
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: the F1/P1xP1 type depends on the labelling of e1..e8 "
-        "when a fibre carries coefficient 0 (P1xP1 with alpha_c 3/8 here, F1 with "
-        "alpha_c 4/13 after relabelling)",
+        "when a fibre carries coefficient 0, because classify's tie-break line "
+        "`if c < 0 or (not c and q < p):` gives such a fibre its component with the "
+        "lower enumeration index (P1xP1 with alpha_c 3/8 here, F1 with alpha_c 4/13 "
+        "after relabelling)",
     )
     def test_type_is_labelling_invariant(self):
         one = classify(parse_class("12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2"))
@@ -730,30 +743,26 @@ def _random_disjoint_sevens(rng: random.Random, count: int) -> list[list[PicardC
 
 
 def _indices(classes: list[PicardClass]) -> list[int]:
-    """The enumeration indices of (-1)-classes, the form cone's parity test takes."""
+    """The enumeration indices of (-1)-classes, the form the search oracle's parity test takes."""
     members = enumerate_minus_one_classes().members
     return [members.index(e) for e in classes]
 
 
 class TestComplementParity:
-    def test_even_set(self):
-        from dp1alpha.cone import _complement_is_even
+    """The search oracle's parity test against the kernel basis and the section search."""
 
+    def test_even_set(self):
         seven = [E(i) for i in range(2, 8)] + [H - E(1) - E(8)]
-        assert _complement_is_even(_indices(seven))
+        assert search.complement_is_even(_indices(seven))
 
     def test_odd_set(self):
-        from dp1alpha.cone import _complement_is_even
-
-        assert not _complement_is_even(_indices([E(i) for i in range(2, 9)]))
+        assert not search.complement_is_even(_indices([E(i) for i in range(2, 9)]))
 
     def test_agrees_with_kernel_basis_reference(self):
-        from dp1alpha.cone import _complement_is_even
-
         parities = []
         for seven in _random_disjoint_sevens(random.Random(31), 1000):
             even = reference_complement_is_even(seven)
-            assert _complement_is_even(_indices(seven)) == even
+            assert search.complement_is_even(_indices(seven)) == even
             parities.append(even)
         assert 100 < sum(parities) < 900
 
@@ -769,16 +778,12 @@ class TestComplementParity:
         ],
     )
     def test_rejects_a_broken_premise(self, classes):
-        from dp1alpha.cone import _complement_is_even
-
         with pytest.raises(UnclassifiableError):
-            _complement_is_even(_indices(classes))
+            search.complement_is_even(_indices(classes))
 
     def test_parity_matches_section_search(self):
         # on a sample of disjoint 7-sets: a disjoint (-1)-class exists
         # exactly when the rank-2 complement is odd
-        from dp1alpha.cone import _complement_is_even
-
         curves = enumerate_minus_one_classes().members
         rng = random.Random(11)
         found_even = found_odd = 0
@@ -797,7 +802,7 @@ class TestComplementParity:
             section = any(
                 all(pairing(w, c) == 0 for c in chosen) for w in curves
             )
-            even = _complement_is_even(_indices(chosen))
+            even = search.complement_is_even(_indices(chosen))
             assert section != even
             found_even += even
             found_odd += not even
@@ -826,7 +831,7 @@ def _lowest_picks(chosen: list[int]) -> list[int]:
 
 
 class TestPadding:
-    """The greedy scan of `_extend_to_disjoint_eight` against the backtracking search."""
+    """The search oracle's greedy padding scan against the backtracking search."""
 
     @pytest.mark.parametrize("k", range(8))
     def test_equals_backtracking_on_random_disjoint_sets(self, k):
@@ -835,7 +840,7 @@ class TestPadding:
         for _ in range(400):
             chosen = _random_disjoint_indices(rng, k)
             expected = reference_extend(chosen)
-            padded = cone._extend_to_disjoint_eight(chosen)
+            padded = search.extend_to_disjoint_eight(chosen)
             if expected is None:
                 # only seven classes with an even complement have no eighth
                 assert k == 7 and padded == chosen
@@ -970,7 +975,11 @@ def _rows_at_bound(bound: int) -> list[tuple[int, ...]]:
 
 
 class TestPackedPairings:
-    """The packed 64-bit-slot scan against a plain comprehension over the 240 rows."""
+    """The packed 64-bit-slot scans against a plain comprehension over the 240 rows.
+
+    The negative scan is cone's; the zero scan and the orthogonality masks
+    are the search oracle's, built on the same packed product.
+    """
 
     @staticmethod
     def _check(w) -> None:
@@ -978,7 +987,7 @@ class TestPackedPairings:
         negative = [(j, p) for j, p in enumerate(plain) if p < 0]
         assert cone._negative_pairings(w) == negative
         assert (cone._negative_pairings(w) == []) == all(p >= 0 for p in plain)
-        assert cone._zero_pairings(w) == [j for j, p in enumerate(plain) if p == 0]
+        assert search.zero_pairings(w) == [j for j, p in enumerate(plain) if p == 0]
 
     def test_every_minus_one_and_conic_row(self):
         rows = enumerate_minus_one_classes().rows + enumerate_conic_classes().rows
@@ -990,7 +999,7 @@ class TestPackedPairings:
         rows = enumerate_minus_one_classes().rows
         for j, row in enumerate(rows):
             expected = sum(1 << k for k, p in enumerate(_plain_pairings(row)) if p == 0)
-            assert cone._orthogonal_mask(j) == expected
+            assert search.orthogonal_mask(j) == expected
 
     def test_random_small_rows(self):
         rng = random.Random(62)
@@ -1255,79 +1264,108 @@ class TestValidateProfile:
                     cone._validate_profile(mutant, a)
 
 
-def _corrupt_split(monkeypatch, change) -> None:
-    """Make `_boundary_split` return change(negative, twice_delta, conic, face) of its answer."""
-    real = cone._boundary_split
-    monkeypatch.setattr(cone, "_boundary_split", lambda w: change(*real(w)))
+def _corrupt_profile(monkeypatch, change) -> None:
+    """Make classify build change(profile) in place of the profile it reads off the chamber.
+
+    The changed profile still reaches classify's call of `_validate_profile`.
+    """
+    real = cone.PolarizationProfile
+    monkeypatch.setattr(cone, "PolarizationProfile", lambda **fields: change(real(**fields)))
+
+
+def _with_the_other_conic_type(profile: PolarizationProfile) -> PolarizationProfile:
+    """F1 relabelled P1xP1 and P1xP1 relabelled F1, with the basis kept."""
+    assert profile.type_tag in (F1, P1XP1)
+    return replace(profile, type_tag=F1 if profile.type_tag == P1XP1 else P1XP1)
+
+
+def _seven_face_with_the_other_type(profile: PolarizationProfile) -> PolarizationProfile:
+    """A seven-class face without a conic read with the other type.
+
+    P1xP1 with delta = 0 becomes P2 without its conic; P2 with one zero
+    coefficient drops that member and takes a conic orthogonal to the other
+    seven as P1xP1.
+    """
+    if profile.type_tag == P1XP1:
+        assert not profile.delta
+        return replace(profile, type_tag=P2, conic=None)
+    assert profile.type_tag == P2 and profile.a[-2] and not profile.a[-1]
+    seven = profile.basis[:-1]
+    conic = next(c for c in enumerate_conic_classes() if not any(pairing(c, e) for e in seven))
+    return replace(profile, type_tag=P1XP1, a=profile.a[:-1], basis=seven, conic=conic)
+
+
+def _fibre(profile: PolarizationProfile, e: PicardClass) -> frozenset[PicardClass]:
+    """The two components of the conic's fibre through the basis class e."""
+    return frozenset({e, profile.conic - e})
 
 
 class TestFactsCertifiedOnce:
-    """Facts that classify no longer checks in line, because `_validate_profile` certifies them.
+    """Facts that classify does not check in line, because `_validate_profile` certifies them.
 
-    Each test corrupts one of them on the F1 and P1xP1 profiles; classify
-    must still raise.
+    Each test corrupts one of them in the profile classify builds, on the
+    F1 and P1xP1 profiles; classify must still raise, with the message of
+    the check that refuses it.
     """
 
     @pytest.mark.parametrize("type_tag", [F1, P1XP1])
     def test_non_nef_residual(self, monkeypatch, type_tag):
-        def negated(negative, twice_delta, conic, face):
-            bad = tuple(-x for x in conic)
-            assert cone._negative_pairings(bad)
-            return negative, twice_delta, bad, face
+        def negated(profile):
+            bad = -profile.conic
+            assert cone._negative_pairings(bad.cleared()[1])
+            return replace(profile, conic=bad)
 
-        _corrupt_split(monkeypatch, negated)
-        with pytest.raises(UnclassifiableError):
+        _corrupt_profile(monkeypatch, negated)
+        with pytest.raises(UnclassifiableError, match="is not a conic class"):
             classify(parse_class(_VALIDATED[type_tag]))
 
     @pytest.mark.parametrize("type_tag", [F1, P1XP1])
     def test_negative_part_off_the_face(self, monkeypatch, type_tag):
-        rows = enumerate_minus_one_classes().rows
+        # a conic that meets the leading member, with its own face
+        def meeting(profile):
+            lead = profile.basis[0]
+            other = next(c for c in enumerate_conic_classes() if pairing(c, lead))
+            curves = enumerate_minus_one_classes().members
+            face = frozenset(curves[j] for j in search.zero_pairings(other.cleared()[1]))
+            assert lead not in face and len(face) == 14
+            return replace(profile, conic=other, face_generators=face)
 
-        def meeting(negative, twice_delta, conic, face):
-            j = negative[0][0]
-            other = next(c for c in enumerate_conic_classes().rows if _plain_pairings(c)[j])
-            face = set(cone._zero_pairings(other))
-            assert j not in face and rows[j] not in enumerate_conic_classes().rows
-            return negative, twice_delta, other, face
-
-        _corrupt_split(monkeypatch, meeting)
-        with pytest.raises(UnclassifiableError):
+        _corrupt_profile(monkeypatch, meeting)
+        with pytest.raises(UnclassifiableError, match="conic class is not orthogonal"):
             classify(parse_class(_VALIDATED[type_tag]))
 
     @pytest.mark.parametrize("type_tag", [F1, P1XP1])
     def test_face_short_of_fourteen_components(self, monkeypatch, type_tag):
-        # a fibre with no member in the negative part is dropped from the
-        # face, so the basis falls one short of seven
-        rows = enumerate_minus_one_classes().rows
+        # a fibre with coefficient 0 dropped from the face and from the
+        # basis, which falls one short of seven
+        def short(profile):
+            i = profile.a.index(0)
+            dropped = _fibre(profile, profile.basis[i])
+            return replace(
+                profile,
+                a=profile.a[:i] + profile.a[i + 1 :],
+                basis=profile.basis[:i] + profile.basis[i + 1 :],
+                face_generators=profile.face_generators - dropped,
+            )
 
-        def short(negative, twice_delta, conic, face):
-            in_negative = {j for j, _ in negative}
-            fibres = {frozenset((j, rows.index(tuple(map(sub, conic, rows[j]))))) for j in face}
-            assert len(fibres) == 7
-            dropped = next(f for f in sorted(fibres, key=min) if not f & in_negative)
-            return negative, twice_delta, conic, face - dropped
-
-        _corrupt_split(monkeypatch, short)
-        with pytest.raises(UnclassifiableError):
+        _corrupt_profile(monkeypatch, short)
+        with pytest.raises(UnclassifiableError, match=f"type {type_tag} with 6 basis classes"):
             classify(parse_class(_VALIDATED[type_tag]))
 
     def test_face_that_drops_a_fibre_with_a_negative_member(self, monkeypatch):
-        # the negative member stays in the basis, which keeps its seven
-        # classes: only the face certificate can refuse the profile
-        rows = enumerate_minus_one_classes().rows
+        # the fibre of the leading member leaves the face while the basis
+        # keeps its seven classes: only the face certificate can refuse it
         corrupted = []
 
-        def short(negative, twice_delta, conic, face):
-            if conic is None:
-                return negative, twice_delta, conic, face
-            in_negative = {j for j, _ in negative}
-            fibres = {frozenset((j, rows.index(tuple(map(sub, conic, rows[j]))))) for j in face}
-            assert len(fibres) == 7
-            dropped = next(f for f in sorted(fibres, key=min) if f & in_negative)
+        def short(profile):
+            if not profile.delta:
+                return profile
+            dropped = _fibre(profile, profile.basis[0])
+            assert dropped <= profile.face_generators
             corrupted.append(dropped)
-            return negative, twice_delta, conic, face - dropped
+            return replace(profile, face_generators=profile.face_generators - dropped)
 
-        _corrupt_split(monkeypatch, short)
+        _corrupt_profile(monkeypatch, short)
         classes = [parse_class(_VALIDATED[F1]), parse_class(_VALIDATED[P1XP1])]
         classes += _criterion_10_classes(60)
         refused = 0
@@ -1347,7 +1385,76 @@ class TestFactsCertifiedOnce:
         [(F1, "type P1xP1 with an odd complement"), (P1XP1, "type F1 with an even complement")],
     )
     def test_parity_helper_that_answers_wrongly(self, monkeypatch, type_tag, message):
-        real = cone._complement_is_even
-        monkeypatch.setattr(cone, "_complement_is_even", lambda seven: not real(seven))
+        # the type decided against the parity of the fibres taken
+        _corrupt_profile(monkeypatch, _with_the_other_conic_type)
         with pytest.raises(UnclassifiableError, match=message):
             classify(parse_class(_VALIDATED[type_tag]))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_VALIDATED[F1], "type F1 with an even complement"),
+            (_VALIDATED[P1XP1], "type P1xP1 with an odd complement"),
+            ("12,-4,-10/3,-11/2,-10/3,-5,-7/2,-5/2,-7/2", "type P1xP1 with an odd complement"),
+            ("12,-7/2,-10/3,-10/3,-5/2,-4,-5,-7/2,-11/2", "type F1 with an even complement"),
+        ],
+    )
+    def test_fibre_tie_break_flipped_without_the_type(self, monkeypatch, text, message):
+        # a fibre with coefficient 0 gives its other component: the
+        # recomposition still holds, so the parity check must refuse it
+        def flipped(profile):
+            i = profile.a.index(0)
+            other = profile.conic - profile.basis[i]
+            return replace(profile, basis=profile.basis[:i] + (other,) + profile.basis[i + 1 :])
+
+        _corrupt_profile(monkeypatch, flipped)
+        with pytest.raises(UnclassifiableError, match=message):
+            classify(parse_class(text))
+
+    def test_a_mapped_row_off_the_240_is_unclassifiable(self, monkeypatch):
+        # a wrong image of e8 is looked up among the 240 rows and refused
+        # as UnclassifiableError, which the CLI reports, not as KeyError
+        real = cone._images
+
+        def doubled(word):
+            images = real(word)
+            images[8] = tuple(2 * x for x in images[8])
+            return images
+
+        monkeypatch.setattr(cone, "_images", doubled)
+        for text in _VALIDATED.values():
+            with pytest.raises(UnclassifiableError, match=r"mapped row .* is not a \(-1\)-class"):
+                classify(parse_class(text))
+
+
+class TestAgainstTheSearch:
+    """classify's chamber reading against `classify_by_search`, field by field.
+
+    The search reads the profile off scans of the 240 (-1)-classes and the
+    2160 conics, without the chamber word; the atlas and its W(E8) images
+    are compared in test_atlas.
+    """
+
+    def test_criterion_10_draws_and_the_pencils(self):
+        classes = _criterion_10_classes(400, 1) + _criterion_10_classes(400, 2)
+        classes += [-K + Fraction(k, 40) * E(i) for i in range(1, 9) for k in range(-13, 40)]
+        shapes = set()
+        for a in classes:
+            profile = classify(a)
+            assert profile == search.classify_by_search(a), format_class(a)
+            shapes.add((profile.type_tag, bool(profile.delta), profile.a.count(0)))
+        assert {(P2, False, 0), (P2, False, 7), (F1, True, 0), (P1XP1, True, 0),
+                (P1XP1, False, 0)} <= shapes
+
+    def test_the_upper_ruling_passes_the_certificate(self, monkeypatch):
+        # with delta = 0 both rulings are valid conics; only the search
+        # pins classify's choice of the lower one
+        a = parse_class(_SEVEN_FACE_P1XP1)
+        lower = classify(a).conic
+        upper = next(
+            c for c in enumerate_conic_classes()
+            if c != lower and not any(pairing(c, e) for e in classify(a).basis)
+        )
+        assert lower < upper
+        _corrupt_profile(monkeypatch, lambda profile: replace(profile, conic=upper))
+        assert classify(a) != search.classify_by_search(a)
