@@ -9,21 +9,21 @@ Equalities are substituted out first, by exact Gaussian elimination
 (Dantzig and Eaves 1973): each one fixes a pivot variable in terms of the
 others and is removed from every other row.  What enters the elimination is
 then a system of inequalities alone, one row per inequality constraint, and
-the pivots are solved after every other variable.  A system without an
-equality skips this step.
+the pivots are solved after every other variable.
 
-The elimination runs on integer rows in lowest terms.  Each is a positive
-multiple of its rational row, so every sign test, comparison and bound is
-the rational one.  A row keeps its origin (a constraint, or the pair it was
-combined from), bit masks of the constraints it draws on and of the
-variables they contain, and its primitive direction (the coefficients over
-their gcd); multipliers are rebuilt from the origins for the contradiction
-alone.  Back-substitution keeps integer numerators over one common
-denominator, and each bound on a variable as an integer pair (num, den)
-with den > 0, compared by cross-multiplication; only the two bounds that
-win become Fractions.  Each system clears its constraints to integer rows
-once, on first use (`LinearSystem.cleared`), and every elimination starts
-from those rows.
+The elimination runs on integer rows in lowest terms: the gcd of each row's
+coefficients and right-hand side is 1.  Each is a positive multiple of its
+rational row, so every sign test, comparison and bound is the rational one.
+A row keeps its origin (the vector of its constraint after the
+substitution, or the pair it was combined from), bit masks of the
+constraints it draws on and of the variables they contain, and its
+primitive direction (the coefficients over their gcd); multipliers are
+rebuilt from the origins for the contradiction alone.  Back-substitution
+keeps integer numerators over one common denominator, and each bound on a
+variable as an integer pair (num, den) with den > 0, compared by
+cross-multiplication; only the two bounds that win become Fractions.  Each
+system clears its constraints to integer rows once, on first use
+(`LinearSystem.cleared`), and every elimination starts from those rows.
 
 The answer is checked by code that shares nothing with the prover:
 `check_certificate` and `LinearSystem.holds_at` read the `Fraction`
@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable
 
 from .rationals import clear
@@ -211,13 +212,13 @@ class _Row:
     # positive multiple of the rational row, and every decision of the
     # elimination is invariant under such a rescaling.  ancestors is a bit
     # mask of the constraints the row draws on, variables a bit mask of the
-    # variables those constraints contain.  origin is (index, weight)
-    # for weight times constraint index, (index, vector) for a row that
-    # _substitute rewrote, or (positive, negative, var) for a pair; from it
-    # _rebuild recovers the multipliers of the one row that needs them, the
-    # contradiction.  direction is coeffs over their gcd,
-    # set by _initial_rows and _prune (None on a pair until _prune keys it),
-    # so the stage loop tests two rows for full cancellation by comparing it.
+    # variables those constraints contain.  origin is (index, vector) for
+    # the row _initial_rows made of constraint index, or (positive, negative,
+    # var) for a pair; from it _rebuild recovers the multipliers of the one
+    # row that needs them, the contradiction.  direction is coeffs over their
+    # gcd, set by _initial_rows and _prune (None on a pair until _prune keys
+    # it), so the stage loop tests two rows for full cancellation by
+    # comparing it.
     coeffs: list[int]
     strict: bool
     rhs: int
@@ -233,26 +234,7 @@ def _direction(coeffs: list[int], divisor: int) -> tuple[int, ...]:
 
 
 def _initial_rows(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[_Row]]]]:
-    """The rows that elimination starts from, and the stages the equalities make.
-
-    Without an equality each row is its constraint in lowest terms and there
-    is no stage; otherwise _substitute rewrites the rows.
-    """
-    if any(rel == EQ for _, rel, _ in system.constraints):
-        return _substitute(system)
-    rows: list[_Row] = []
-    for index, ((_, rel, _), (scale, (*ints, scaled_rhs))) in enumerate(
-        zip(system.constraints, system.cleared())
-    ):
-        bit = 1 << index
-        variables = sum(1 << j for j, c in enumerate(ints) if c)
-        direction = _direction(ints, math.gcd(*ints))
-        rows.append(_Row(ints, rel == LT, scaled_rhs, bit, variables, (index, scale), direction))
-    return rows, []
-
-
-def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[_Row]]]]:
-    """Substitute the equalities out by Gaussian elimination.
+    """The rows that elimination starts from: the equalities substituted out.
 
     Each constraint starts as the vector [*coeffs, rhs, *multipliers] =
     scale * (its row, its unit vector), so that its leading part is the sum
@@ -262,25 +244,28 @@ def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[
     negative; every row not yet a pivot then becomes r * e_v - r_v * e over
     the gcd of its entries, a positive multiple of itself plus a multiple of
     the equality.  An equality rewritten to 0 = 0 is dropped; one rewritten
-    to 0 = c with c != 0, times -sign(c), is returned as the only row: the
-    contradiction.
+    to 0 = c with c != 0, times -sign(c), is returned as the only row, the
+    contradiction 0 <= -1.
 
-    Returns the inequality rows in lowest terms, each keeping its vector as
-    its origin, and one stage per pivot, in order, whose rows e <= rhs and
-    -e <= -rhs are the two bounds that fix the pivot.  No later row has the
-    pivot variable, so back-substitution, which runs the stages in reverse,
-    solves the pivots last.
+    Returns one row per inequality, its leading part over gcd(*coeffs, rhs)
+    and its vector kept as its origin, and one stage per pivot, in order,
+    whose rows e <= rhs and -e <= -rhs are the two bounds that fix the
+    pivot.  No later row has the pivot variable, so back-substitution, which
+    runs the stages in reverse, solves the pivots last.
     """
     width = len(system.variables)
-    count = len(system.constraints)
+    bits = [1 << j for j in range(width)]
+    zeros = [0] * len(system.constraints)
     vectors = []
-    for index, (scale, ints) in enumerate(system.cleared()):
-        multipliers = [0] * count
-        multipliers[index] = scale
-        vectors.append([*ints, *multipliers])
-    relations = [rel for _, rel, _ in system.constraints]
-    equalities = [i for i, rel in enumerate(relations) if rel == EQ]
-    inequalities = [i for i, rel in enumerate(relations) if rel != EQ]
+    equalities: list[int] = []
+    inequalities: list[int] = []
+    for index, ((_, rel, _), (scale, ints)) in enumerate(
+        zip(system.constraints, system.cleared())
+    ):
+        vector = [*ints, *zeros]
+        vector[width + 1 + index] = scale
+        vectors.append(vector)
+        (equalities if rel == EQ else inequalities).append(index)
     stages: list[tuple[int, list[_Row]]] = []
     for position, index in enumerate(equalities):
         e = vectors[index]
@@ -290,7 +275,7 @@ def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[
                 continue
             if e[width] > 0:
                 e = [-x for x in e]
-            return [_Row([0] * width, False, e[width], 1 << index, 0, (index, e))], []
+            return [_Row([0] * width, False, -1, 1 << index, 0, (index, e))], []
         var = min(nonzero)[1]
         if e[var] < 0:
             e = [-x for x in e]
@@ -311,14 +296,16 @@ def _substitute(system: LinearSystem) -> tuple[list[_Row], list[tuple[int, list[
     rows = []
     for index in inequalities:
         vector = vectors[index]
-        *ints, rhs = vector[: width + 1]
-        divisor = math.gcd(rhs, *ints)
+        ints = vector[:width]
+        rhs = vector[width]
+        divisor = math.gcd(*ints)
+        direction = _direction(ints, divisor)
+        divisor = math.gcd(divisor, rhs)
         if divisor > 1:
             ints = [c // divisor for c in ints]
             rhs //= divisor
-        variables = sum(1 << j for j, c in enumerate(ints) if c)
-        direction = _direction(ints, math.gcd(*ints))
-        strict = relations[index] == LT
+        variables = sum(compress(bits, ints))
+        strict = system.constraints[index][1] == LT
         rows.append(_Row(ints, strict, rhs, 1 << index, variables, (index, vector), direction))
     return rows, stages
 
@@ -343,31 +330,26 @@ def _combine(positive: _Row, negative: _Row, var: int) -> _Row:
     )
 
 
-def _rebuild(
-    row: _Row, count: int, memo: dict[_Row, tuple[list[int], int]]
-) -> tuple[list[int], int]:
+def _rebuild(row: _Row, memo: dict[_Row, tuple[list[int], int]]) -> tuple[list[int], int]:
     """(coeffs + [rhs] + history, denom): the rational row and its multipliers, over denom > 0.
 
-    The rational row is the constraint itself, or positive/P_v + negative/(-N_v)
-    of the parents' rational rows; history[i] / denom is the net weight of
+    The rational row of an initial row is its constraint plus the multiples
+    of the equalities substituted into it: its vector over its own
+    multiplier.  That of a pair is positive/P_v + negative/(-N_v) of the
+    parents' rational rows.  history[i] / denom is the net weight of
     constraint i in it.  Replays the row's origins, each shared parent once,
     by _combine's integer rule with the history carried along and the gcd of
     denom and every entry divided out.
     """
     known = memo.get(row)
     if known is None:
-        if len(row.origin) == 2:
-            index, weight = row.origin
-            if isinstance(weight, int):
-                history = [0] * count
-                history[index] = weight
-                known = [*row.coeffs, row.rhs, *history], abs(weight)
-            else:  # the vector of a row that _substitute rewrote
-                known = weight, abs(weight[len(row.coeffs) + 1 + index])
+        if len(row.origin) == 2:  # an initial row and its vector
+            index, vector = row.origin
+            known = vector, abs(vector[len(row.coeffs) + 1 + index])
         else:
             positive, negative, var = row.origin
-            vector_p, denom_p = _rebuild(positive, count, memo)
-            vector_n, denom_n = _rebuild(negative, count, memo)
+            vector_p, denom_p = _rebuild(positive, memo)
+            vector_n, denom_n = _rebuild(negative, memo)
             scale_p = -vector_n[var]
             scale_n = vector_p[var]
             vector = [p * scale_p + n * scale_n for p, n in zip(vector_p, vector_n)]
@@ -463,7 +445,7 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
     while True:
         bad = _contradiction(rows)
         if bad is not None:
-            vector, denom = _rebuild(bad, len(system.constraints), {})
+            vector, denom = _rebuild(bad, {})
             history = vector[width + 1 :]
             certificate = FarkasCertificate(
                 multipliers=tuple(Fraction(h, denom) for h in history),
@@ -504,36 +486,30 @@ def prove_infeasible(system: LinearSystem) -> FarkasCertificate | Feasible:
         rows = _prune(remaining)
     # the values fixed so far are numerators[j] / denom, and the others 0, so
     # each bound is (rhs*denom - rest) / (c_v*denom) with rest an int, kept
-    # as (num, den) with den > 0; on equal values the strict row wins
+    # as (num, den) negated to den > 0 on its side: 1 for an upper bound
+    # (c_v > 0), -1 for a lower one; the side's tighter value wins, and on
+    # equal values the strict row
     numerators = [0] * width
     denom = 1
     for var, involved in reversed(stages):
-        lower: tuple[int, int, bool] | None = None
-        upper: tuple[int, int, bool] | None = None
+        bounds: dict[int, tuple[int, int, bool]] = {}
         for row in involved:
             coeffs = row.coeffs
             rest = sum(c * n for c, n in zip(coeffs, numerators))  # numerators[var] is still 0
-            num = row.rhs * denom - rest
-            den = coeffs[var] * denom
-            if den > 0:
-                if upper is None:
-                    upper = (num, den, row.strict)
-                else:
-                    mine, theirs = num * upper[1], upper[0] * den
-                    if mine < theirs or (mine == theirs and row.strict):
-                        upper = (num, den, row.strict)
-            else:
-                num, den = -num, -den
-                if lower is None:
-                    lower = (num, den, row.strict)
-                else:
-                    mine, theirs = num * lower[1], lower[0] * den
-                    if mine > theirs or (mine == theirs and row.strict):
-                        lower = (num, den, row.strict)
-        value = _choose_value(
-            None if lower is None else (Fraction(lower[0], lower[1]), lower[2]),
-            None if upper is None else (Fraction(upper[0], upper[1]), upper[2]),
+            side = 1 if coeffs[var] > 0 else -1
+            num = side * (row.rhs * denom - rest)
+            den = side * coeffs[var] * denom
+            best = bounds.get(side)
+            if best is not None:
+                gap = side * (num * best[1] - best[0] * den)  # negative when the row is tighter
+                if gap > 0 or (gap == 0 and not row.strict):
+                    continue
+            bounds[side] = (num, den, row.strict)
+        lower, upper = (
+            None if (b := bounds.get(side)) is None else (Fraction(b[0], b[1]), b[2])
+            for side in (-1, 1)
         )
+        value = _choose_value(lower, upper)
         common = math.lcm(denom, value.denominator)
         if common != denom:
             numerators = [n * (common // denom) for n in numerators]

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 from .fme import (
     LE,
@@ -73,14 +74,16 @@ class LemmaCase:
 
         The full system is built on first use and kept, so it is the same
         object on every call and clears its rows once (`LinearSystem.cleared`).
+        A system without one row takes the full system's cleared rows, less
+        that row's, so a relaxation probe clears nothing again.
         """
-        if drop is None:
-            return self._full_system
         full = self._full_system
-        return LinearSystem(
-            full.variables,
-            (row for row, case_row in zip(full.constraints, self.rows) if case_row.tag != drop),
-        )
+        if drop is None:
+            return full
+        kept = [row.tag != drop for row in self.rows]
+        relaxed = LinearSystem(full.variables, compress(full.constraints, kept))
+        object.__setattr__(relaxed, "_cleared", tuple(compress(full.cleared(), kept)))
+        return relaxed
 
     @cached_property
     def _full_system(self) -> LinearSystem:

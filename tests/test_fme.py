@@ -3,6 +3,7 @@ and against the ``Fraction`` eliminator in ``tests/reference_fme.py``."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -257,6 +258,19 @@ class TestEqualitySubstitution:
         certificate = self._answer(["x", "y"], rows)
         assert certificate.multipliers == (Fraction(1, 2), Fraction(1, 2), 1)
         assert built == []
+
+    def test_initial_rows_are_in_lowest_terms(self):
+        # rationals.clear gives a row over its least common denominator, not in
+        # lowest terms: 2x + 4y <= 6 enters as x + 2y <= 3 (and a row 0 <= 0,
+        # whose gcd is 0, as itself)
+        (row,), _ = fme._initial_rows(_system(["x", "y"], [((2, 4), LE, 6)]))
+        assert (row.coeffs, row.rhs) == ([1, 2], 3)
+        systems = _lemma_systems() + _probe_systems()
+        rng = random.Random(424242)
+        systems += [_criterion_10_system(rng, force_feasible=t % 2 == 0) for t in range(200)]
+        for system in systems:
+            rows, _ = fme._initial_rows(system)
+            assert all(math.gcd(*row.coeffs, row.rhs) <= 1 for row in rows)
 
     def test_equality_heavy_sweep_against_the_simplex(self):
         # the reference now substitutes as the package does; the exact simplex
@@ -710,6 +724,20 @@ class TestBuildAndClearOnce:
                     kept = [row for row in case.rows if row.tag != tag]
                     fresh = lemmas.LemmaCase(case.name, case.variables, tuple(kept)).system()
                     assert case.system(drop=tag) == fresh
+                    assert case.system(drop=tag).cleared() == fresh.cleared()
+
+    def test_probe_makes_no_clear_call(self, monkeypatch):
+        # a relaxed system takes the full system's cleared rows, less one
+        calls = []
+        real = fme.clear
+        monkeypatch.setattr(fme, "clear", lambda values: calls.append(values) or real(values))
+        for lemma_id in lemmas.LEMMA_IDS:
+            encoding = lemmas.get_encoding(lemma_id)
+            for case in encoding.cases:
+                case.system().cleared()
+            for probe in encoding.probes:
+                lemmas.relaxation_probe(lemma_id, probe.tag)
+        assert calls == []
 
     def test_second_proof_makes_no_clear_call(self, monkeypatch):
         calls = []
