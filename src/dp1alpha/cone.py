@@ -14,14 +14,13 @@ pairs least with H and H - e1 among their orbits, and with e8 among the
 240 (-1)-classes, which are one orbit.  It applies the simple reflections
 of `picard._reflect`, the ones that build the two curve families there.
 Ampleness, pseudo-effectivity and mu are read off that chamber
-representative.  mu is certified by a nef ray N with (K + mu*A).N = 0,
-checked against the 240 classes.
-
-`classify` reads the whole profile off the same chamber representative
-A' = w(A): K + mu*A' has a closed form over e1..e8 and the fibres
-{e_i, H - e1 - e_i} of the conic H - e1, and `_images` maps those classes
-back through w^-1.  `_validate_profile` certifies the profile without the
-chamber: type, basis, conic, boundary face and recomposition.
+representative.  `classify` reads the whole profile off the same step,
+`_threshold`, which reduces once and maps H, e1, ..., e8 back through w^-1
+once (`_images`): mu is certified by the nef ray among those images, and
+K + mu*A' for A' = w(A) has a closed form over e1..e8 and the fibres
+{e_i, H - e1 - e_i} of the conic H - e1, which the images carry back.
+`_validate_profile` certifies the profile without the chamber: type,
+basis, conic, boundary face and recomposition.
 
 The nef-ray check scans the 240 pairings N.E, one 240x9 integer matrix
 times an integral vector w.  `_packed` does that product in nine
@@ -256,38 +255,38 @@ def is_ample(v: PicardClass) -> bool:
     return _chamber(v.cleared()[1])[1][-1] < 0
 
 
-_H_RAY = (1, 0, 0, 0, 0, 0, 0, 0, 0)
-_CONIC_RAY = (1, -1, 0, 0, 0, 0, 0, 0, 0)
+def _threshold(A: PicardClass) -> tuple[Fraction, list[int], list[tuple[int, ...]], bool]:
+    """(mu, w(row), `_images(w)`, P2 branch) for A = row/denom, from one chamber reduction.
+
+    With w(row) = d'H - sum(m'_i e_i) in the fundamental chamber (see
+    `_chamber`), w(A) pairs least with H and H - e1 among their W(E8)
+    orbits, the nef cone's extremal rays, and K.H = -3, K.(H - e1) = -2.
+    So mu = max(3*denom/d', 2*denom/(d' - m'_1)), attained by N = w^-1(H)
+    when d' >= 3m'_1 (the P2 branch, which takes the tie) and by
+    N = w^-1(H - e1) otherwise.  N.E >= 0 on the 240 (-1)-classes with
+    (K + mu*A).N = 0 is checked in integers: N is nef, so K + t*A is not
+    effective for t < mu.  A class with m'_8 <= 0 is refused with
+    ValueError: that is `is_ample`'s test, read off the same reduction.
+    """
+    denom, row = A.cleared()
+    word, chamber = _chamber(row)
+    if chamber[-1] >= 0:
+        raise ValueError("mu_threshold requires an ample class")
+    images = _images(word)
+    d, minus_m1 = chamber[:2]
+    p2 = d + 3 * minus_m1 >= 0
+    mu = Fraction(3 * denom, d) if p2 else Fraction(2 * denom, d + minus_m1)
+    ray = images[0] if p2 else tuple(map(sub, images[0], images[1]))
+    if _negative_pairings(ray) or (
+        mu.denominator * denom * dot(_K_ROW, ray) + mu.numerator * dot(row, ray)
+    ):
+        raise UnclassifiableError(f"nef-ray certificate failed for A = {format_class(A)}")
+    return mu, chamber, images, p2
 
 
 def mu_threshold(A: PicardClass) -> Fraction:
-    """Least t > 0 with K + t*A effective, from A's chamber representative.
-
-    With A = row/denom for an integral row and w(row) = d'H - sum(m'_i e_i)
-    in the fundamental chamber (see `_chamber`),
-    mu = max(2*denom/(d' - m'_1), 3*denom/d'): K.(H - e1) = -2 and K.H = -3, and
-    w(A) pairs least with H - e1 and H among their W(E8) orbits, the nef
-    cone's extremal rays.  The ray N' that attains the maximum is mapped
-    back to N = w^-1(N'), and N.E >= 0 on the 240 (-1)-classes with
-    (K + mu*A).N = 0 is checked in integers: N is nef, so K + t*A is not
-    effective for t < mu.  A class with m'_8 <= 0 is refused: that is
-    `is_ample`'s test, read off the same reduction.
-    """
-    denom, row = A.cleared()
-    word, (d, minus_m1, *_, minus_m8) = _chamber(row)
-    if minus_m8 >= 0:
-        raise ValueError("mu_threshold requires an ample class")
-    mu, ray = max(
-        (Fraction(2 * denom, d + minus_m1), _CONIC_RAY), (Fraction(3 * denom, d), _H_RAY)
-    )
-    n = list(ray)
-    for i in reversed(word):
-        _reflect(n, i)
-    if _negative_pairings(n) or (
-        mu.denominator * denom * dot(_K_ROW, n) + mu.numerator * dot(row, n)
-    ):
-        raise UnclassifiableError(f"nef-ray certificate failed for A = {format_class(A)}")
-    return mu
+    """Least t > 0 with K + t*A effective, certified by a nef ray; see `_threshold`."""
+    return _threshold(A)[0]
 
 
 def _integral_row(e: PicardClass) -> tuple[int, ...]:
@@ -428,10 +427,10 @@ def _index(row: tuple[int, ...]) -> int:
 def classify(A: PicardClass) -> PolarizationProfile:
     """Classify an ample class as P2, F1, or P1xP1 with its coefficient data.
 
-    mu comes from `mu_threshold`.  The rest is read off the chamber
-    representative A' = w(row) = d'H - sum(m'_i e_i) of A = row/den (see
-    `_chamber`): K + mu*A' decomposes in closed form over e1..e8 and the
-    conic H - e1, and `_images` maps its classes back through w^-1.
+    One `_threshold` call gives mu, the chamber representative
+    A' = w(row) = d'H - sum(m'_i e_i) of A = row/den, the images of H, e1,
+    ..., e8 under w^-1 and the branch below: K + mu*A' decomposes in closed
+    form over e1..e8 and the conic H - e1, and the images carry it back.
 
     - P2 when d' >= 3m'_1, where mu*A' = 3A'/d': K + mu*A' = sum(a_i e_i)
       with a_i = 1 - 3m'_i/d' on w^-1(e_i).  The face is the members with
@@ -456,13 +455,11 @@ def classify(A: PicardClass) -> PolarizationProfile:
     profile, type included, without the chamber.
     """
     try:
-        mu = mu_threshold(A)
+        mu, row, images, p2 = _threshold(A)
     except ValueError:
         raise ValueError("classify requires an ample class") from None
-    word, row = _chamber(A.cleared()[1])
-    images = _images(word)
     d, conic = row[0], None
-    if d + 3 * row[1] >= 0:
+    if p2:
         type_tag, scale, delta = P2, d, 0
         chosen = [(_index(images[i]), d + 3 * row[i]) for i in range(1, 9)]
         face = [j for j, c in chosen if c]

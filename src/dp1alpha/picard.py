@@ -62,12 +62,14 @@ class PicardClass:
         return isinstance(other, PicardClass) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        # hash(coeffs), computed once: classify hashes the same cached
-        # (-1)-class members into every face set it builds
+        # The cleared row through x -> 2x + 1, computed once: CPython hashes
+        # -1 and -2 alike, but no odd int as -2, so the 240 (-1)-classes hash
+        # apart.  classify hashes the same cached members into every face set.
         try:
             return self._hash
         except AttributeError:
-            value = hash(self.coeffs)
+            den, row = self.cleared()
+            value = hash((den, *[2 * x + 1 for x in row]))
             object.__setattr__(self, "_hash", value)
             return value
 

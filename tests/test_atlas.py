@@ -25,9 +25,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import sub
 
 import pytest
 
+import test_acceptance
+from dp1alpha import cone
 from dp1alpha.cone import (
     F1,
     P1XP1,
@@ -35,9 +38,11 @@ from dp1alpha.cone import (
     PolarizationProfile,
     classify,
     is_ample,
+    mu_threshold,
 )
 from dp1alpha.picard import (
     PicardClass,
+    _reflect,
     canonical_class,
     enumerate_conic_classes,
     enumerate_minus_one_classes,
@@ -235,3 +240,32 @@ def test_weyl_and_bertini_images(seed):
             assert profile.type_tag == base.type_tag
             typed += 1
     assert typed == 454
+
+
+def test_images_equal_the_letter_by_letter_walk():
+    # H and H - e1 reflected back through the reversed chamber word, one
+    # simple reflection at a time, against _images' rows w^-1(H) and
+    # w^-1(H) - w^-1(e1): the nef rays that certify mu
+    rng = random.Random(2)
+    roots = _simple_root_rows()
+    classes = test_acceptance._random_ample_classes(random.Random(9), 200)
+    for A, _ in _atlas():
+        image = _row(A)
+        for _ in range(rng.randint(4, 24)):
+            image = _reflected(image, rng.choice(roots))
+        classes += [A, PicardClass(_bertini(_row(A))), PicardClass(image)]
+    letters = 0
+    for A in classes:
+        word, _ = cone._chamber(A.cleared()[1])
+        images = cone._images(word)
+        for ray, expected in (
+            ((1, 0, 0, 0, 0, 0, 0, 0, 0), images[0]),
+            ((1, -1, 0, 0, 0, 0, 0, 0, 0), tuple(map(sub, images[0], images[1]))),
+        ):
+            n = list(ray)
+            for i in reversed(word):
+                _reflect(n, i)
+            assert tuple(n) == expected, A
+        assert mu_threshold(A) == classify(A).mu
+        letters += len(word)
+    assert len(classes) == 200 + 3 * 754 and letters > 20 * len(classes)

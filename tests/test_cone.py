@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -568,28 +569,33 @@ class TestBoundaryFace:
             counterexample_report(lam)
         assert calls == []
 
-    def test_two_reductions_per_class(self, monkeypatch):
-        # classify reduces A to the W(E8) chamber inside mu_threshold and once
-        # more for the word it maps back, and takes its ampleness guard from
-        # mu_threshold, not from is_ample
+    def test_one_reduction_per_class(self, monkeypatch):
+        # classify reduces A to the W(E8) chamber once and maps its word back
+        # once, and reads mu and the ampleness guard off that step, not from
+        # mu_threshold or is_ample
         calls = []
-        for name in ("_chamber", "is_ample"):
+        for name in ("_chamber", "_images", "is_ample", "mu_threshold"):
             real = getattr(cone, name)
             monkeypatch.setattr(
                 cone, name, lambda arg, name=name, real=real: calls.append(name) or real(arg)
             )
-        for a in _criterion_10_classes(12) + [_even_complement_class()]:
+        for a in _criterion_10_classes(12) + PENCIL + [_even_complement_class()]:
             calls.clear()
             classify(a)
-            assert calls.count("_chamber") == 2
-            assert "is_ample" not in calls
+            assert sorted(calls) == ["_chamber", "_images"]
 
     def test_rejects_a_class_off_the_boundary(self, monkeypatch):
         # the closed form does not read mu: a mu that puts K + mu*A inside
-        # the effective cone or outside it must fail the recomposition
-        real = cone.mu_threshold
+        # the effective cone or outside it, handed on past the nef-ray check,
+        # must fail the recomposition
+        real = cone._threshold
         for factor in (Fraction(999, 1000), Fraction(1001, 1000)):
-            monkeypatch.setattr(cone, "mu_threshold", lambda a, f=factor: f * real(a))
+
+            def scaled(a, f=factor):
+                mu, *rest = real(a)
+                return (f * mu, *rest)
+
+            monkeypatch.setattr(cone, "_threshold", scaled)
             for text in _VALIDATED.values():
                 with pytest.raises(UnclassifiableError, match="recomposition identity failed"):
                     classify(parse_class(text))
@@ -926,12 +932,31 @@ class TestChamber:
         assert word.count(0) == 5
 
     def test_swapped_rays_fail_the_certificate(self, monkeypatch):
-        h_ray, conic_ray = cone._H_RAY, cone._CONIC_RAY
-        monkeypatch.setattr(cone, "_H_RAY", conic_ray)
-        monkeypatch.setattr(cone, "_CONIC_RAY", h_ray)
-        with pytest.raises(UnclassifiableError):
-            for a in _criterion_10_classes(8) + PENCIL:
-                mu_threshold(a)
+        # images that send H to H - e1 and e1 to -e1 make each branch take
+        # the other branch's ray: the nef-ray check must refuse it, except
+        # at the tie d' = 3m'_1 (the four pencils), where both rays attain mu
+        classes = _criterion_10_classes(8) + PENCIL
+        expected = [mu_threshold(a) for a in classes]
+        real = cone._images
+
+        def swapped(word):
+            images = real(word)
+            h, e1 = images[0], images[1]
+            images[0], images[1] = tuple(map(sub, h, e1)), tuple(-x for x in e1)
+            return images
+
+        monkeypatch.setattr(cone, "_images", swapped)
+        refused = 0
+        for a, mu in zip(classes, expected):
+            d, minus_m1 = _word_and_chamber(a)[1][:2]
+            if d + 3 * minus_m1 == 0:
+                assert mu_threshold(a) == mu
+                continue
+            for f in (mu_threshold, classify):
+                with pytest.raises(UnclassifiableError, match="^nef-ray certificate failed"):
+                    f(a)
+            refused += 1
+        assert refused == 8
 
 
 _FORM_SIGNS = (1,) + (-1,) * 8
