@@ -11,14 +11,14 @@ cone, has the W(E8) orbits of H and H - e1 as extremal rays.  Noether-Cremona
 reduction (`_chamber`) moves a class d*H - sum(m_i e_i) into the
 fundamental chamber of W(E8) (m_i descending, d >= m1 + m2 + m3), where it
 pairs least with H and H - e1 among their orbits, and with e8 among the
-240 (-1)-classes, which are one orbit.  It applies the simple reflections
-of `picard._reflect`, the ones that build the two curve families there.
-Ampleness, pseudo-effectivity and mu are read off that chamber
-representative.  `classify` reads the whole profile off the same step,
-`_threshold`, which reduces once and maps H, e1, ..., e8 back through w^-1
-once (`_images`): mu is certified by the nef ray among those images, and
-K + mu*A' for A' = w(A) has a closed form over e1..e8 and the fibres
-{e_i, H - e1 - e_i} of the conic H - e1, which the images carry back.
+240 (-1)-classes, which are one orbit.  It sorts the m_i and applies the
+reflection in H - e1 - e2 - e3 of `picard._reflect`, and carries the rows
+of w^-1(H), w^-1(e1), ..., w^-1(e8) along.  Ampleness, pseudo-effectivity
+and mu are read off the chamber representative.  `classify` reads the
+whole profile off the same step, `_threshold`, which reduces once: mu is
+certified by the nef ray among the rows of w^-1, and K + mu*A' for
+A' = w(A) has a closed form over e1..e8 and the fibres {e_i, H - e1 - e_i}
+of the conic H - e1, which those rows carry back.
 `_validate_profile` certifies the profile without the chamber: type,
 basis, conic, boundary face and recomposition.
 
@@ -192,39 +192,38 @@ def membership_certificate(v: PicardClass) -> LPResult:
     return solve(problem)
 
 
-# The length of the longest element of W(E8), its number of positive roots.
-_LONGEST_WORD = 120
+# The number of positive roots of E8, the length of the longest element of W(E8).
+_POSITIVE_ROOTS = 120
+_IDENTITY = tuple(tuple(int(i == k) for i in range(9)) for k in range(9))
 
 
-def _chamber(row: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Noether-Cremona reduction: (w, w(row)) with w(row) in the fundamental chamber.
+def _chamber(row: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Noether-Cremona reduction: (w(row), [w^-1(H), w^-1(e1), ..., w^-1(e8)]) as rows.
 
     Write row = dH - sum(m_i e_i) (the coordinates hold -m_i).  Sort the m_i
-    descending by swaps in e_i - e_(i+1); while d < m1 + m2 + m3, reflect in
-    H - e1 - e2 - e3 and sort again.  w lists the simple reflections applied,
-    in order.  Each one pairs negatively with the current class, which
-    removes one positive root from those the class pairs negatively with, so
-    w has at most 120 letters.
-
-    Each sort is an insertion sort: it moves each m_i left past the smaller
-    ones before it, one swap at a time.  That is the swap sequence of
-    always swapping the first out-of-order pair, without rescanning from e1.
+    descending; while d < m1 + m2 + m3, reflect in r = H - e1 - e2 - e3 and
+    sort again.  Then w(row) is in the fundamental chamber.  The rows of
+    w^-1 start from the identity.  A sort is stable, so it permutes by the
+    swaps in e_i - e_(i+1) that put the m_i in order, ties left in place, and
+    it permutes the rows of e1..e8 alike.  The reflection in r moves H, e1,
+    e2 and e3, which pair to 1 with r, to themselves plus r, so it adds
+    w^-1(r) to their rows.  Each simple reflection applied pairs negatively
+    with the current class, which removes one of the 120 positive roots from
+    those the class pairs negatively with, so w has at most 120 of them.  A
+    reflection in r leaves the class pairing positively with r, so a swap
+    comes before the next one and at most 60 are reflections in r; a class
+    still outside the chamber after 120 of those raises UnclassifiableError.
     """
-    v = list(row)
-    word: list[int] = []
-    while True:
-        for k in range(2, 9):
-            i = k - 1
-            while i and v[i] > v[i + 1]:
-                v[i], v[i + 1] = v[i + 1], v[i]
-                word.append(i)
-                i -= 1
-        if len(word) > _LONGEST_WORD:
-            break
+    v, rows = list(row), list(_IDENTITY)
+    for _ in range(_POSITIVE_ROOTS):
+        order = sorted(range(1, 9), key=v.__getitem__)
+        v[1:] = [v[i] for i in order]
+        rows[1:] = [rows[i] for i in order]
         if v[0] + v[1] + v[2] + v[3] >= 0:
-            return word, v
+            return v, rows
         _reflect(v, 0)
-        word.append(0)
+        root = [h - a - b - c for h, a, b, c in zip(*rows[:4])]
+        rows[:4] = [tuple(map(add, image, root)) for image in rows[:4]]
     raise UnclassifiableError("Noether-Cremona reduction did not reach the chamber")
 
 
@@ -236,7 +235,7 @@ def is_pseudoeffective(v: PicardClass) -> bool:
     dominant member of each orbit, so v is effective iff its chamber
     representative d'H - sum(m'_i e_i) has d' >= 0 and d' - m'_1 >= 0.
     """
-    _, (d, minus_m1, *_) = _chamber(v.cleared()[1])
+    (d, minus_m1, *_), _ = _chamber(v.cleared()[1])
     return d >= 0 and d + minus_m1 >= 0
 
 
@@ -252,11 +251,11 @@ def is_ample(v: PicardClass) -> bool:
     is ample iff its chamber representative d'H - sum(m'_i e_i) (see
     `_chamber`) has m'_8 > 0: the chamber row's last coordinate is -m'_8.
     """
-    return _chamber(v.cleared()[1])[1][-1] < 0
+    return _chamber(v.cleared()[1])[0][-1] < 0
 
 
 def _threshold(A: PicardClass) -> tuple[Fraction, list[int], list[tuple[int, ...]], bool]:
-    """(mu, w(row), `_images(w)`, P2 branch) for A = row/denom, from one chamber reduction.
+    """(mu, w(row), the rows of w^-1, P2 branch) for A = row/denom, from `_chamber`.
 
     With w(row) = d'H - sum(m'_i e_i) in the fundamental chamber (see
     `_chamber`), w(A) pairs least with H and H - e1 among their W(E8)
@@ -269,10 +268,9 @@ def _threshold(A: PicardClass) -> tuple[Fraction, list[int], list[tuple[int, ...
     ValueError: that is `is_ample`'s test, read off the same reduction.
     """
     denom, row = A.cleared()
-    word, chamber = _chamber(row)
+    chamber, images = _chamber(row)
     if chamber[-1] >= 0:
         raise ValueError("mu_threshold requires an ample class")
-    images = _images(word)
     d, minus_m1 = chamber[:2]
     p2 = d + 3 * minus_m1 >= 0
     mu = Fraction(3 * denom, d) if p2 else Fraction(2 * denom, d + minus_m1)
@@ -386,28 +384,6 @@ def _validate_profile(profile: PolarizationProfile, A: PicardClass) -> None:
             total = [t - m * x for t, x in zip(total, e_row)]
     if any(total):
         raise UnclassifiableError("recomposition identity failed")
-
-
-_IDENTITY = tuple(tuple(int(i == k) for i in range(9)) for k in range(9))
-
-
-def _images(word: list[int]) -> list[tuple[int, ...]]:
-    """The rows of w^-1(H), w^-1(e1), ..., w^-1(e8) for a chamber word w.
-
-    w applies its letters in order, so appending a letter s to w turns
-    w^-1(v) into w^-1(s(v)).  A swap letter i exchanges the images of e_i
-    and e_(i+1).  Letter 0, the reflection in r = H - e1 - e2 - e3, moves
-    H, e1, e2 and e3, which pair to 1 with r, to themselves plus r, so it
-    adds w^-1(r) to each of their images.
-    """
-    images = list(_IDENTITY)
-    for letter in word:
-        if letter:
-            images[letter], images[letter + 1] = images[letter + 1], images[letter]
-        else:
-            root = [h - a - b - c for h, a, b, c in zip(*images[:4])]
-            images[:4] = [tuple(map(add, image, root)) for image in images[:4]]
-    return images
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,14 @@ list:
   reach the `classify` branches those draws miss, and on those of WIDE,
   whose integer rows pass the packed scan's 2^62 slot bound and take the
   plain scan;
+- `ample`, `classify` and `alpha conjecture` on LONGEST, the Bertini image
+  of a regular class, whose chamber reduction is the longest element of
+  W(E8): 120 simple reflections, 8 of them in H - e1 - e2 - e3;
+- `classify` and `alpha conjecture` on the Bertini images of the BRANCHES
+  classes: -K is its own image, and the other 14 reduce in 70 to 120
+  simple reflections to chamber rows with up to seven tied coordinates,
+  where the order of the tied e_i decides which (-1)-classes `classify`
+  reads;
 - `counterexample --lambda k/40` for k = 0..39;
 - the bad-input commands of test_cli.TestColdProcess.
 
@@ -151,6 +159,18 @@ WIDE = [
 ]
 
 
+def bertini(text: str) -> str:
+    """The Bertini image v -> 2(v.K)K - v of a class, K = -3H + e1 + ... + e8."""
+    v = [Fraction(x) for x in text.split(",")]
+    k = (-3,) + (1,) * 8
+    t = 2 * (v[0] * k[0] - sum(x * y for x, y in zip(v[1:], k[1:])))
+    return ",".join(str(t * y - x) for x, y in zip(v, k))
+
+
+# 428,-146,-147,-148,-149,-150,-151,-152,-153, whose reduction takes 120 letters
+LONGEST = bertini("100,-30,-29,-28,-27,-26,-25,-24,-23")
+
+
 def argvs() -> list[list[str]]:
     classes = criterion_10_draws(5) + criterion_10_draws(77)
     return (
@@ -159,6 +179,10 @@ def argvs() -> list[list[str]]:
         + [[*command, "--class", text] for text in classes
            for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
         + [[*command, "--class", text] for text in BRANCHES + WIDE
+           for command in (["classify"], ["alpha", "conjecture"])]
+        + [[*command, "--class", LONGEST]
+           for command in (["ample"], ["classify"], ["alpha", "conjecture"])]
+        + [[*command, "--class", bertini(text)] for text in BRANCHES
            for command in (["classify"], ["alpha", "conjecture"])]
         + [["counterexample", "--lambda", str(Fraction(k, 40))] for k in range(40)]
         + BAD_INPUT

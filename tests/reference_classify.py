@@ -2,7 +2,7 @@
 
 ``dp1alpha.cone.classify`` reads the profile of an ample class A off its
 W(E8) chamber representative.  This module rebuilds the same profile
-without the chamber word, from searches over the 240 (-1)-classes and the
+without the chamber reduction, from searches over the 240 (-1)-classes and the
 2160 conics, with the same tie-breaks:
 
 - `boundary_split` reads D = K + mu*A as sum(a_E * E) + delta*C: the

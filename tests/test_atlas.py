@@ -9,7 +9,7 @@ degree at most 12: 754 of them.  Each is checked against oracles that do not
 call `classify`'s code: the 240-class ampleness scan, a nef class that
 certifies mu and the face, the recomposition in Fractions, the unimodular
 parity oracle, the backtracking section search, `classify_by_search` (the
-profile read off lattice scans, without the chamber word) and, up to
+profile read off lattice scans, without the chamber reduction) and, up to
 d' = 9, the LP face oracle.  W(E8) images and the Bertini image must keep
 mu, a, delta and s_A, move the face onto the face, pad P2 as the search
 does, and equal `classify_by_search` field by field.  Across images the
@@ -25,10 +25,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import sub
 
 import pytest
 
+import reference_chamber
 import test_acceptance
 from dp1alpha import cone
 from dp1alpha.cone import (
@@ -42,7 +42,6 @@ from dp1alpha.cone import (
 )
 from dp1alpha.picard import (
     PicardClass,
-    _reflect,
     canonical_class,
     enumerate_conic_classes,
     enumerate_minus_one_classes,
@@ -242,10 +241,9 @@ def test_weyl_and_bertini_images(seed):
     assert typed == 454
 
 
-def test_images_equal_the_letter_by_letter_walk():
-    # H and H - e1 reflected back through the reversed chamber word, one
-    # simple reflection at a time, against _images' rows w^-1(H) and
-    # w^-1(H) - w^-1(e1): the nef rays that certify mu
+@lru_cache(maxsize=None)
+def _walked_classes() -> tuple[PicardClass, ...]:
+    """200 criterion-10 draws, then each orbit, its Bertini image and a random W(E8) image."""
     rng = random.Random(2)
     roots = _simple_root_rows()
     classes = test_acceptance._random_ample_classes(random.Random(9), 200)
@@ -254,18 +252,43 @@ def test_images_equal_the_letter_by_letter_walk():
         for _ in range(rng.randint(4, 24)):
             image = _reflected(image, rng.choice(roots))
         classes += [A, PicardClass(_bertini(_row(A))), PicardClass(image)]
+    return tuple(classes)
+
+
+def test_images_equal_the_letter_by_letter_walk():
+    # the package's chamber row against the reference reduction's, and its
+    # rows w^-1(H), w^-1(e1), ..., w^-1(e8) against H, e1, ..., e8 reflected
+    # back through the reversed reference word, one simple reflection at a time
+    classes = _walked_classes()
     letters = 0
     for A in classes:
-        word, _ = cone._chamber(A.cleared()[1])
-        images = cone._images(word)
-        for ray, expected in (
-            ((1, 0, 0, 0, 0, 0, 0, 0, 0), images[0]),
-            ((1, -1, 0, 0, 0, 0, 0, 0, 0), tuple(map(sub, images[0], images[1]))),
-        ):
-            n = list(ray)
-            for i in reversed(word):
-                _reflect(n, i)
-            assert tuple(n) == expected, A
+        word, expected = reference_chamber._chamber(A.cleared()[1])
+        chamber, rows = cone._chamber(A.cleared()[1])
+        assert chamber == expected, A
+        assert rows == reference_chamber.walked_back(word), A
         assert mu_threshold(A) == classify(A).mu
         letters += len(word)
     assert len(classes) == 200 + 3 * 754 and letters > 20 * len(classes)
+
+
+def test_the_rows_certify_w_without_a_word():
+    # the nine rows pair as diag(1, -1, ..., -1), carry K to K and
+    # recompose the class from its chamber row, so they are the rows of an
+    # integral isometry fixing K, which lies in W(E8); the random integer
+    # rows include classes that are not ample and ones with d < 0, which
+    # pair negatively with the nef class H and so are not effective
+    rng = random.Random(3)
+    drawn = [tuple(rng.randint(-12, 24) if k == 0 else rng.randint(-9, 6) for k in range(9))
+             for _ in range(300)]
+    assert sum(not reference_is_ample(PicardClass(row)) for row in drawn) > 100
+    assert sum(row[0] < 0 for row in drawn) > 50
+    rows_to_check = [A.cleared()[1] for A in _walked_classes()] + drawn
+    for row in rows_to_check:
+        chamber, rows = cone._chamber(row)
+        assert [[_form(u, v) for v in rows] for u in rows] == [
+            [s if i == j else 0 for j in range(9)] for i, s in enumerate(SIGNS)
+        ], row
+        for target, coefficients in ((_K_ROW, _K_ROW), (row, chamber)):
+            assert tuple(
+                sum(c * x for c, x in zip(coefficients, column)) for column in zip(*rows)
+            ) == tuple(target), row

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dp1alpha.cli as cli
 import dp1alpha.cone as cone
 import dp1alpha.linprog as linprog
+import reference_chamber
 import reference_classify as search
 import test_acceptance
 from dp1alpha.alpha import alpha_conjecture, counterexample_report
@@ -570,11 +572,11 @@ class TestBoundaryFace:
         assert calls == []
 
     def test_one_reduction_per_class(self, monkeypatch):
-        # classify reduces A to the W(E8) chamber once and maps its word back
-        # once, and reads mu and the ampleness guard off that step, not from
+        # classify reduces A to the W(E8) chamber once, with the rows of
+        # w^-1, and reads mu and the ampleness guard off that step, not from
         # mu_threshold or is_ample
         calls = []
-        for name in ("_chamber", "_images", "is_ample", "mu_threshold"):
+        for name in ("_chamber", "is_ample", "mu_threshold"):
             real = getattr(cone, name)
             monkeypatch.setattr(
                 cone, name, lambda arg, name=name, real=real: calls.append(name) or real(arg)
@@ -582,7 +584,7 @@ class TestBoundaryFace:
         for a in _criterion_10_classes(12) + PENCIL + [_even_complement_class()]:
             calls.clear()
             classify(a)
-            assert sorted(calls) == ["_chamber", "_images"]
+            assert calls == ["_chamber"]
 
     def test_rejects_a_class_off_the_boundary(self, monkeypatch):
         # the closed form does not read mu: a mu that puts K + mu*A inside
@@ -871,7 +873,10 @@ class TestPadding:
 
 
 def _word_and_chamber(v: PicardClass) -> tuple[list[int], list[int]]:
-    return cone._chamber(v.cleared()[1])
+    """The reference's chamber word and row for v; the package's row must equal it."""
+    word, chamber = reference_chamber._chamber(v.cleared()[1])
+    assert cone._chamber(v.cleared()[1])[0] == chamber
+    return word, chamber
 
 
 class TestChamber:
@@ -910,11 +915,39 @@ class TestChamber:
         assert len(word) == 120
         assert chamber == [int(c) for c in a.coeffs]
 
+    def test_a_reduction_that_never_reaches_the_chamber_is_refused(self, monkeypatch, capsys):
+        # with the reflection in H - e1 - e2 - e3 a no-op, the Bertini image
+        # of a regular class never reaches the chamber: the guard must end
+        # the reduction after 120 reflections, and the CLI report it as exit 3
+        text = "428,-146,-147,-148,-149,-150,-151,-152,-153"
+        reflections = []
+
+        def stuck(v, i):
+            reflections.append(i)
+            if len(reflections) > 120:
+                pytest.fail("the reduction went past 120 reflections")
+
+        monkeypatch.setattr(cone, "_reflect", stuck)
+        for f in (is_ample, mu_threshold, classify):
+            reflections.clear()
+            with pytest.raises(
+                UnclassifiableError, match="^Noether-Cremona reduction did not reach the chamber$"
+            ):
+                f(parse_class(text))
+        capsys.readouterr()
+        reflections.clear()
+        assert cli.run(["classify", "--class", text]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "did not reach the chamber" in err
+
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
                                      Fraction(9, 10), Fraction(999, 1000)])
     def test_pencil_is_dominant_on_zero_to_one(self, lam):
         a = -K + lam * E(8)
         assert _word_and_chamber(a)[0] == []
+        assert cone._chamber(a.cleared()[1])[1] == [
+            tuple(int(i == k) for i in range(9)) for k in range(9)
+        ]
         assert mu_threshold(a) == 1
 
     def test_pencil_below_zero_has_one_word(self):
@@ -932,20 +965,21 @@ class TestChamber:
         assert word.count(0) == 5
 
     def test_swapped_rays_fail_the_certificate(self, monkeypatch):
-        # images that send H to H - e1 and e1 to -e1 make each branch take
-        # the other branch's ray: the nef-ray check must refuse it, except
-        # at the tie d' = 3m'_1 (the four pencils), where both rays attain mu
+        # rows of w^-1 that send H to H - e1 and e1 to -e1 make each branch
+        # take the other branch's ray: the nef-ray check must refuse it,
+        # except at the tie d' = 3m'_1 (the four pencils), where both rays
+        # attain mu
         classes = _criterion_10_classes(8) + PENCIL
         expected = [mu_threshold(a) for a in classes]
-        real = cone._images
+        real = cone._chamber
 
-        def swapped(word):
-            images = real(word)
+        def swapped(row):
+            chamber, images = real(row)
             h, e1 = images[0], images[1]
             images[0], images[1] = tuple(map(sub, h, e1)), tuple(-x for x in e1)
-            return images
+            return chamber, images
 
-        monkeypatch.setattr(cone, "_images", swapped)
+        monkeypatch.setattr(cone, "_chamber", swapped)
         refused = 0
         for a, mu in zip(classes, expected):
             d, minus_m1 = _word_and_chamber(a)[1][:2]
@@ -1439,14 +1473,14 @@ class TestFactsCertifiedOnce:
     def test_a_mapped_row_off_the_240_is_unclassifiable(self, monkeypatch):
         # a wrong image of e8 is looked up among the 240 rows and refused
         # as UnclassifiableError, which the CLI reports, not as KeyError
-        real = cone._images
+        real = cone._chamber
 
-        def doubled(word):
-            images = real(word)
+        def doubled(row):
+            chamber, images = real(row)
             images[8] = tuple(2 * x for x in images[8])
-            return images
+            return chamber, images
 
-        monkeypatch.setattr(cone, "_images", doubled)
+        monkeypatch.setattr(cone, "_chamber", doubled)
         for text in _VALIDATED.values():
             with pytest.raises(UnclassifiableError, match=r"mapped row .* is not a \(-1\)-class"):
                 classify(parse_class(text))
@@ -1456,7 +1490,7 @@ class TestAgainstTheSearch:
     """classify's chamber reading against `classify_by_search`, field by field.
 
     The search reads the profile off scans of the 240 (-1)-classes and the
-    2160 conics, without the chamber word; the atlas and its W(E8) images
+    2160 conics, without the chamber reduction; the atlas and its W(E8) images
     are compared in test_atlas.
     """
 
